@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import AlreadyDirectional
-from .freealg import NcPoly, Word, lx, lxt
-
-_TO_DIRECTION = 2  # OR-ing into a letter code turns x into h, x' into h'
+from .freealg import KIND_H, NcPoly, Word, lx, lxt
 
 
 def _require_direction_free(p: NcPoly, op: str) -> None:
@@ -28,45 +26,38 @@ def _require_direction_free(p: NcPoly, op: str) -> None:
         raise AlreadyDirectional(f"{op} expects a polynomial without h-letters")
 
 
+def _deriv_letters(p: NcPoly, hit: Callable[[int], bool], op: str) -> NcPoly:
+    """Sum over the letter occurrences c with hit(c) of the word with that
+    one occurrence replaced by its direction letter."""
+    _require_direction_free(p, op)
+    out: dict[Word, int] = {}
+    for word, coeff in p.terms.items():
+        for i, c in enumerate(word):
+            if hit(c):
+                w = word[:i] + (c | KIND_H,) + word[i + 1:]
+                out[w] = out.get(w, 0) + coeff
+    return NcPoly._raw(p.nvars, out)
+
+
 def deriv_xj(p: NcPoly, j: int) -> NcPoly:
     """Directional derivative with respect to x_j in direction h_j:
     each occurrence of x_j is replaced (one at a time) by h_j; x_j'
     occurrences are untouched."""
-    _require_direction_free(p, "deriv_xj")
     target = lx(j)
-    out: dict[Word, int] = {}
-    for word, coeff in p.terms.items():
-        for i, c in enumerate(word):
-            if c == target:
-                w = word[:i] + (c | _TO_DIRECTION,) + word[i + 1:]
-                out[w] = out.get(w, 0) + coeff
-    return NcPoly._raw(p.nvars, out)
+    return _deriv_letters(p, lambda c: c == target, "deriv_xj")
 
 
 def deriv_xjt(p: NcPoly, j: int) -> NcPoly:
     """Directional derivative with respect to x_j' in direction h_j'."""
-    _require_direction_free(p, "deriv_xjt")
     target = lxt(j)
-    out: dict[Word, int] = {}
-    for word, coeff in p.terms.items():
-        for i, c in enumerate(word):
-            if c == target:
-                w = word[:i] + (c | _TO_DIRECTION,) + word[i + 1:]
-                out[w] = out.get(w, 0) + coeff
-    return NcPoly._raw(p.nvars, out)
+    return _deriv_letters(p, lambda c: c == target, "deriv_xjt")
 
 
 def full_derivative(p: NcPoly) -> NcPoly:
     """First full derivative: every letter occurrence is replaced, one at a
     time, by its matching direction letter.  Homogeneous of degree 1 in h, h'
     and symmetric whenever p is."""
-    _require_direction_free(p, "full_derivative")
-    out: dict[Word, int] = {}
-    for word, coeff in p.terms.items():
-        for i, c in enumerate(word):
-            w = word[:i] + (c | _TO_DIRECTION,) + word[i + 1:]
-            out[w] = out.get(w, 0) + coeff
-    return NcPoly._raw(p.nvars, out)
+    return _deriv_letters(p, lambda c: True, "full_derivative")
 
 
 def complex_hessian(p: NcPoly) -> NcPoly:
@@ -81,8 +72,8 @@ def complex_hessian(p: NcPoly) -> NcPoly:
         for i in plain:
             for j in transposed:
                 w = list(word)
-                w[i] |= _TO_DIRECTION
-                w[j] |= _TO_DIRECTION
+                w[i] |= KIND_H
+                w[j] |= KIND_H
                 w = tuple(w)
                 out[w] = out.get(w, 0) + coeff
     return NcPoly._raw(p.nvars, out)
@@ -114,7 +105,7 @@ def nth_derivative(p: NcPoly, order: int) -> NcPoly:
         for subset in combinations(positions, order):
             w = list(word)
             for i in subset:
-                w[i] |= _TO_DIRECTION
+                w[i] |= KIND_H
             w = tuple(w)
             out[w] = out.get(w, 0) + scaled
     return NcPoly._raw(p.nvars, out)

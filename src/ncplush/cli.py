@@ -201,10 +201,21 @@ _COMMANDS = {
 }
 
 
+def _bind_expr(argv: list[str]) -> list[str]:
+    """Join ``-e EXPR`` into ``--expr=EXPR``: argparse reads a separate value
+    that starts with '-' (a negative polynomial) as an option."""
+    out: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("-e", "--expr") else None
+        out.append(arg if value is None else f"--expr={value}")
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_expr(sys.argv[1:] if argv is None else argv))
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -16,18 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import MixedLetters, NotADerivative, WrongBidegree
 from .freealg import (
+    KIND_H,
     NcPoly,
     Word,
     is_analytic_word,
     is_antianalytic_word,
     word_key,
 )
-
-_TO_DIRECTION = 2
 
 
 def _direction_positions(word: Word) -> tuple[list[int], list[int]]:
@@ -39,7 +38,7 @@ def _direction_positions(word: Word) -> tuple[list[int], list[int]]:
 
 def _strip_directions(word: Word) -> Word:
     """The base word: every direction letter replaced by its variable."""
-    return tuple(c & ~_TO_DIRECTION for c in word)
+    return tuple(c & ~KIND_H for c in word)
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,8 @@ def _levi_members_ordered(base: Word) -> list[Word]:
     for v in transposed:
         for u in plain:
             w = list(base)
-            w[u] |= _TO_DIRECTION
-            w[v] |= _TO_DIRECTION
+            w[u] |= KIND_H
+            w[v] |= KIND_H
             out.append(tuple(w))
     return out
 
@@ -91,7 +90,7 @@ def _one_members_ordered(base: Word) -> list[Word]:
     out = []
     for i, c in enumerate(base):
         w = list(base)
-        w[i] = c | _TO_DIRECTION
+        w[i] = c | KIND_H
         out.append(tuple(w))
     return out
 
@@ -106,6 +105,36 @@ def one_class(m: Word) -> WedClass:
     return WedClass(members[0], frozenset(members), "one")
 
 
+def _first_class_defect(p: NcPoly,
+                        markers_ok: Callable[[list[int], list[int]], bool],
+                        members_ordered: Callable[[Word], list[Word]]
+                        ) -> Optional[Word]:
+    """The first word breaking class completeness, or None.
+
+    In graded-lex order: the first term whose (h positions, h' positions)
+    fail ``markers_ok``; else, class by class, the earliest member of
+    ``members_ordered(base)`` that is missing or whose coefficient differs
+    from the first member's.
+    """
+    words = sorted(p.terms, key=word_key)
+    for word in words:
+        if not markers_ok(*_direction_positions(word)):
+            return word
+    seen: set[Word] = set()
+    for word in words:
+        base = _strip_directions(word)
+        if base in seen:
+            continue
+        seen.add(base)
+        coeff = None
+        for member in members_ordered(base):
+            got = p.terms.get(member)
+            if got is None or (coeff is not None and got != coeff):
+                return member
+            coeff = got
+    return None
+
+
 def is_complex_hessian(q: NcPoly) -> tuple[bool, Optional[Word]]:
     """Decide whether q is a complex hessian.
 
@@ -114,27 +143,9 @@ def is_complex_hessian(q: NcPoly) -> tuple[bool, Optional[Word]]:
     missing class member, or the earliest member carrying a deviant
     coefficient.
     """
-    words = sorted(q.terms, key=word_key)
-    seen: set[Word] = set()
-    for word in words:
-        hs, hts = _direction_positions(word)
-        if len(hs) != 1 or len(hts) != 1:
-            return False, word
-    for word in words:
-        base = _strip_directions(word)
-        if base in seen:
-            continue
-        seen.add(base)
-        coeff = None
-        for member in _levi_members_ordered(base):
-            got = q.terms.get(member)
-            if got is None:
-                return False, member
-            if coeff is None:
-                coeff = got
-            elif got != coeff:
-                return False, member
-    return True, None
+    witness = _first_class_defect(
+        q, lambda hs, hts: len(hs) == 1 and len(hts) == 1, _levi_members_ordered)
+    return witness is None, witness
 
 
 def is_directional_derivative(f: NcPoly, *, allow_mixed: bool = False
@@ -142,8 +153,8 @@ def is_directional_derivative(f: NcPoly, *, allow_mixed: bool = False
     """Decide whether f is a full directional derivative.
 
     By default the input must be purely analytic (letters x, h) or purely
-    antianalytic (letters x', h'), matching the classifier's use on border
-    columns; ``allow_mixed=True`` runs the general 1-wed test instead.
+    antianalytic (letters x', h'); ``allow_mixed=True`` runs the general
+    1-wed test instead.
     """
     if not allow_mixed:
         pure = (all(is_analytic_word(w) for w in f.terms)
@@ -151,27 +162,9 @@ def is_directional_derivative(f: NcPoly, *, allow_mixed: bool = False
         if not pure:
             raise MixedLetters(
                 "expected a purely analytic or purely antianalytic polynomial")
-    words = sorted(f.terms, key=word_key)
-    seen: set[Word] = set()
-    for word in words:
-        hs, hts = _direction_positions(word)
-        if len(hs) + len(hts) != 1:
-            return False, word
-    for word in words:
-        base = _strip_directions(word)
-        if base in seen:
-            continue
-        seen.add(base)
-        coeff = None
-        for member in _one_members_ordered(base):
-            got = f.terms.get(member)
-            if got is None:
-                return False, member
-            if coeff is None:
-                coeff = got
-            elif got != coeff:
-                return False, member
-    return True, None
+    witness = _first_class_defect(
+        f, lambda hs, hts: len(hs) + len(hts) == 1, _one_members_ordered)
+    return witness is None, witness
 
 
 def antiderivative(f: NcPoly) -> NcPoly:

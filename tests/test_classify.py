@@ -19,8 +19,11 @@ from ncplush.classify import (
 )
 from ncplush.errors import NotSymmetric
 from ncplush.freealg import NcPoly, parse_poly
-from ncplush.mmr import build_mmr
+from ncplush.ldlt import Obstruction, ldlt_factor
+from ncplush.mmr import block_view, build_mmr
 from ncplush.numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
+
+from conftest import COEFF_POOL, plush_instance, random_analytic, random_poly, random_word
 
 P = parse_poly
 
@@ -219,3 +222,53 @@ def test_verdict_json_roundtrip():
     import json
 
     assert verdict_from_dict(json.loads(json.dumps(data2))) == refuted
+
+
+def hessian_route_is_plush(p):
+    """Reference verdict from the complex hessian: the structural screen
+    passes and both diagonal middle-matrix blocks factor with constant
+    nonnegative D."""
+    q = complex_hessian(p)
+    border, middle = build_mmr(q)
+    if structural_screen(q, border, middle) is not None:
+        return False
+    blocks = block_view(middle, border)
+    for block in (blocks.q1, blocks.q5):
+        if not block:
+            continue
+        fac = ldlt_factor(block)
+        if isinstance(fac, Obstruction):
+            return False
+        if any(d is None or d < 0 for d in fac.diag_values()):
+            return False
+    return True
+
+
+def test_gram_route_agrees_with_hessian_route(small_corpus):
+    rng = random.Random(4242)
+    inputs = [inst["p"] for inst in small_corpus]
+    base = P("x1'*x1*x1'*x1")
+    while len(inputs) < 40:
+        word = random_word(rng, 1, rng.randint(2, 4))
+        m = NcPoly.monomial(1, word, rng.choice(COEFF_POOL))
+        inputs.append(base + m + m.T)
+    while len(inputs) < 70:
+        r = random_poly(rng, rng.randint(1, 3), max_deg=4)
+        if not (r + r.T).is_zero():
+            inputs.append(r + r.T)
+    for i in range(20):
+        g = rng.randint(1, 3)
+        plush = plush_instance(rng, g, max_deg=2)["p"]
+        f = random_analytic(rng, g, max_deg=3, min_deg=1)
+        eps = (Fraction(1, 10), Fraction(1, 1000))[i % 2]
+        inputs.append(plush - eps * (f.T * f))
+    # each has a word that is neither pure, nor a'b, nor ab'
+    inputs.append(P("1/3*x1 + 1/3*x1' + x2*x2' - 2*x1*x2*x2' + 1/2*x1*x2'*x1"
+                    " + 1/2*x1'*x2*x1' - 2*x2*x2'*x1'", 2))
+    inputs.append(P("1/3*x1'*x2 + 1/3*x2'*x1 + x1'*x2'*x1'*x2 - x2*x2'*x2*x2"
+                    " + x2'*x1*x2*x1 - x2'*x2'*x2*x2'", 2))
+    assert len(inputs) == 92
+    one_sample = SamplePolicy((1,), 1, 1e-8, 0)  # only is_plush is compared
+    verdicts = [decide_plush(p, policy=one_sample).is_plush for p in inputs]
+    assert verdicts == [hessian_route_is_plush(p) for p in inputs]
+    assert 0 < sum(verdicts) < len(verdicts)

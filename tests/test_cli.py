@@ -119,3 +119,9 @@ def test_json_mode_other_commands(capsys):
     assert code == 0 and json.loads(out)["border"] == ["h1"]
     code, out, _ = run(capsys, "eval", "--json", "-e", "x1", "--size", "2")
     assert code == 0 and len(json.loads(out)["matrix"]) == 2
+
+
+def test_classify_negative_expression(capsys):
+    code, out, _ = run(capsys, "classify", "--vars", "1", "-e", "-x1'*x1")
+    assert code == 2
+    assert "verdict: not_plush" in out

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calculus import complex_hessian
+from .calculus import _require_direction_free, complex_hessian
 from .errors import InternalInconsistency, NotSymmetric
 from .freealg import (
     MatrixTuple,
@@ -119,6 +119,9 @@ class PlushVerdict:
     decomposition: Optional[Decomposition] = None
     ldlt_analytic: Optional[LdltFactorization] = None
     ldlt_antianalytic: Optional[LdltFactorization] = None
+    # the words indexing the rows of each Gram matrix (``perm`` points here)
+    words_analytic: tuple[Word, ...] = ()
+    words_antianalytic: tuple[Word, ...] = ()
     counterexample: Optional[Counterexample] = None
     reason: Optional[str] = None
 
@@ -241,6 +244,7 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
     """Decide nc plurisubharmonicity of a symmetric polynomial."""
     if not p.is_symmetric():
         raise NotSymmetric("decide_plush requires p' = p")
+    _require_direction_free(p, "decide_plush")
     g = p.nvars
     grams, stray = _gram_entries(p)
     if stray is not None:
@@ -249,9 +253,10 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
             "antianalytic, a'b nor ab' with analytic a, b"), policy, seed)
 
     facs: list[Optional[LdltFactorization]] = []
+    word_lists: list[tuple[Word, ...]] = []
     squares: list[tuple[tuple[Fraction, ...], tuple[NcPoly, ...]]] = []
     for side, gram in zip(("analytic", "antianalytic"), grams):
-        words = sorted({w for pair in gram for w in pair}, key=word_key)
+        words = tuple(sorted({w for pair in gram for w in pair}, key=word_key))
         fac = None
         if words:
             fac = ldlt_factor([[NcPoly.const(g, gram.get((a, b), 0)) for b in words]
@@ -259,7 +264,7 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
         if isinstance(fac, Obstruction):
             return _refute(p, Violation(
                 OBSTRUCTION, f"no constant pivot in the {side} Gram matrix:\n"
-                + fac.dump()), policy, seed)
+                + _words_line(words) + "\n" + fac.dump()), policy, seed)
         diag = fac.diag_values() if fac is not None else []
         if any(d < 0 for d in diag):
             return _refute(p, Violation(
@@ -273,6 +278,7 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
                                          for r in range(i, fac.size)}))
         squares.append((tuple(weights), tuple(pieces)))
         facs.append(fac)
+        word_lists.append(words)
 
     F = (p.filter_terms(lambda w: bool(w) and is_analytic_word(w))
          + NcPoly.const(g, p.constant_term() / 2))
@@ -280,7 +286,8 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
     if not verify_decomposition(p, decomposition):
         raise InternalInconsistency("Gram certificate failed re-expansion")
     return PlushVerdict("plush", decomposition=decomposition,
-                        ldlt_analytic=facs[0], ldlt_antianalytic=facs[1])
+                        ldlt_analytic=facs[0], ldlt_antianalytic=facs[1],
+                        words_analytic=word_lists[0], words_antianalytic=word_lists[1])
 
 
 def _refute(p: NcPoly, gram_violation: Violation,
@@ -307,13 +314,15 @@ def _refute(p: NcPoly, gram_violation: Violation,
 
 def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
     """Exact re-expansion check with a shape audit: positive weights,
-    analytic pieces, and p equal to the expanded decomposition."""
+    analytic pieces free of h-letters, and p equal to the expanded
+    decomposition."""
+    _require_direction_free(p, "verify_decomposition")
     if any(d <= 0 for d in decomposition.weights_f):
         return False
     if any(e <= 0 for e in decomposition.weights_k):
         return False
     for poly in (*decomposition.fs, *decomposition.ks, decomposition.F):
-        if not classify_shape(poly).analytic:
+        if poly.has_directions() or not classify_shape(poly).analytic:
             return False
     return decomposition.expand() == p
 
@@ -343,12 +352,13 @@ def format_report(verdict: PlushVerdict) -> str:
         for e, k in zip(dec.weights_k, dec.ks):
             lines.append(f"k (weight {e}): {k}")
         lines.append(f"F: {dec.F}")
-        if verdict.ldlt_analytic is not None:
-            lines.append("ldlt of the analytic Gram matrix:")
-            lines.append(verdict.ldlt_analytic.dump())
-        if verdict.ldlt_antianalytic is not None:
-            lines.append("ldlt of the antianalytic Gram matrix:")
-            lines.append(verdict.ldlt_antianalytic.dump())
+        for side, fac, words in (
+                ("analytic", verdict.ldlt_analytic, verdict.words_analytic),
+                ("antianalytic", verdict.ldlt_antianalytic, verdict.words_antianalytic)):
+            if fac is not None:
+                lines.append(f"ldlt of the {side} Gram matrix:")
+                lines.append(_words_line(words))
+                lines.append(fac.dump())
     elif verdict.kind == "not_plush":
         cex = verdict.counterexample
         lines.append(f"path: {cex.path}")
@@ -361,25 +371,33 @@ def format_report(verdict: PlushVerdict) -> str:
     return "\n".join(lines)
 
 
-def _ldlt_to_dict(fac: Optional[LdltFactorization]) -> Optional[dict]:
+def _words_line(words: tuple[Word, ...]) -> str:
+    return "words: [" + ", ".join(format_word(w) for w in words) + "]"
+
+
+def _ldlt_to_dict(fac: Optional[LdltFactorization], words: tuple[Word, ...]
+                  ) -> Optional[dict]:
     if fac is None:
         return None
     return {
+        "words": [format_word(w) for w in words],
         "perm": list(fac.perm),
         "diag": [str(d) for d in fac.diag],
         "lower": [[str(e) for e in row] for row in fac.lower],
     }
 
 
-def _ldlt_from_dict(data: Optional[dict], nvars: int) -> Optional[LdltFactorization]:
+def _ldlt_from_dict(data: Optional[dict], nvars: int
+                    ) -> tuple[Optional[LdltFactorization], tuple[Word, ...]]:
     from .freealg import parse_poly
 
     if data is None:
-        return None
+        return None, ()
+    words = tuple(next(iter(parse_poly(s, nvars).terms)) for s in data.get("words", ()))
     diag = tuple(parse_poly(s, nvars) for s in data["diag"])
     lower = tuple(tuple(parse_poly(s, nvars) for s in row) for row in data["lower"])
     return LdltFactorization(nvars, tuple(data["perm"]), lower, diag,
-                             tuple(d.constant_value() is not None for d in diag))
+                             tuple(d.constant_value() is not None for d in diag)), words
 
 
 def verdict_to_dict(verdict: PlushVerdict, nvars: int) -> dict:
@@ -395,8 +413,9 @@ def verdict_to_dict(verdict: PlushVerdict, nvars: int) -> dict:
         }
     if verdict.ldlt_analytic is not None or verdict.ldlt_antianalytic is not None:
         out["ldlt"] = {
-            "analytic": _ldlt_to_dict(verdict.ldlt_analytic),
-            "antianalytic": _ldlt_to_dict(verdict.ldlt_antianalytic),
+            "analytic": _ldlt_to_dict(verdict.ldlt_analytic, verdict.words_analytic),
+            "antianalytic": _ldlt_to_dict(verdict.ldlt_antianalytic,
+                                          verdict.words_antianalytic),
         }
     if verdict.counterexample is not None:
         cex = verdict.counterexample
@@ -426,10 +445,8 @@ def verdict_from_dict(data: dict) -> PlushVerdict:
             tuple(parse_poly(s, nvars) for s in dec["ks"]),
             parse_poly(dec["F"], nvars),
         )
-    ldlt_a = ldlt_at = None
-    if "ldlt" in data:
-        ldlt_a = _ldlt_from_dict(data["ldlt"].get("analytic"), nvars)
-        ldlt_at = _ldlt_from_dict(data["ldlt"].get("antianalytic"), nvars)
+    ldlt_a, words_a = _ldlt_from_dict(data.get("ldlt", {}).get("analytic"), nvars)
+    ldlt_at, words_at = _ldlt_from_dict(data.get("ldlt", {}).get("antianalytic"), nvars)
     counterexample = None
     if "counterexample" in data:
         cex = data["counterexample"]
@@ -441,4 +458,5 @@ def verdict_from_dict(data: dict) -> PlushVerdict:
         )
     return PlushVerdict(data["verdict"], decomposition=decomposition,
                         ldlt_analytic=ldlt_a, ldlt_antianalytic=ldlt_at,
+                        words_analytic=words_a, words_antianalytic=words_at,
                         counterexample=counterexample, reason=data.get("reason"))

@@ -221,9 +221,6 @@ class NcPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not w for w in self.terms)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
@@ -239,10 +236,6 @@ class NcPoly:
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=0)
-
-    def direction_degree(self) -> int:
-        """Max number of direction letters in any term."""
-        return max((h_count(w) for w in self.terms), default=0)
 
     def has_directions(self) -> bool:
         return any(h_count(w) for w in self.terms)

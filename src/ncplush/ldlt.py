@@ -102,7 +102,7 @@ class Obstruction:
 
     def dump(self) -> str:
         lines = [f"obstruction after {len(self.perm_prefix)} pivot(s); "
-                 f"residual on border positions {list(self.residual_indices)}:"]
+                 f"residual on positions {list(self.residual_indices)}:"]
         for row in self.residual:
             lines.append("[ " + " | ".join(str(e) for e in row) + " ]")
         return "\n".join(lines)

@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
-    DirectionLettersPresent,
     MissingStrata,
     NotQuadraticInDirections,
     NotSymmetric,
@@ -268,12 +267,3 @@ def collapse_scalar_multiples(
                 a, b = first[wi], first[wj]
                 out[a][b] = out[a][b] + (si * sj) * entry
     return words, out
-
-
-def require_direction_free(middle: MiddleMatrix) -> None:
-    """Guard used by consumers that need h-free matrix entries."""
-    for row in middle.entries:
-        for entry in row:
-            if entry.has_directions():
-                raise DirectionLettersPresent(
-                    "middle matrix entries must not contain direction letters")

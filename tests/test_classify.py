@@ -17,7 +17,7 @@ from ncplush.classify import (
     verdict_to_dict,
     verify_decomposition,
 )
-from ncplush.errors import NotSymmetric
+from ncplush.errors import AlreadyDirectional, NotSymmetric
 from ncplush.freealg import NcPoly, parse_poly
 from ncplush.ldlt import Obstruction, ldlt_factor
 from ncplush.mmr import block_view, build_mmr
@@ -222,6 +222,28 @@ def test_verdict_json_roundtrip():
     import json
 
     assert verdict_from_dict(json.loads(json.dumps(data2))) == refuted
+
+
+def test_gram_factorizations_name_their_words():
+    verdict = decide_plush(P("x1'*x1 + 2*x2'*x2 + x1'*x2 + x2'*x1 + x1*x1'", 2))
+    assert verdict.is_plush
+    report = format_report(verdict)
+    assert "ldlt of the analytic Gram matrix:\nwords: [x1, x2]\nperm:" in report
+    assert "ldlt of the antianalytic Gram matrix:\nwords: [x1]\nperm:" in report
+    assert verdict_to_dict(verdict, 2)["ldlt"]["analytic"]["words"] == ["x1", "x2"]
+
+
+@pytest.mark.parametrize("text", ["h1'*h1", "x1'*x1 + h1'*x1 + x1'*h1 + h1'*h1",
+                                  "h1'*h1*h1'*h1"])
+def test_decide_plush_rejects_direction_letters(text):
+    with pytest.raises(AlreadyDirectional):
+        decide_plush(P(text))
+
+
+def test_verify_decomposition_rejects_direction_letters():
+    decomposition = Decomposition((Fraction(1),), (P("h1"),), (), (), NcPoly.zero(1))
+    with pytest.raises(AlreadyDirectional):
+        verify_decomposition(P("h1'*h1"), decomposition)
 
 
 def hessian_route_is_plush(p):

@@ -125,3 +125,10 @@ def test_classify_negative_expression(capsys):
     code, out, _ = run(capsys, "classify", "--vars", "1", "-e", "-x1'*x1")
     assert code == 2
     assert "verdict: not_plush" in out
+
+
+def test_classify_rejects_direction_letters(capsys):
+    code, out, err = run(capsys, "classify", "--vars", "1", "-e", "h1'*h1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: decide_plush expects a polynomial without h-letters")

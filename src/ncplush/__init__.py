@@ -11,7 +11,6 @@ counterexample with a verified negative eigenvalue.
 """
 
 from .calculus import (
-    DerivativeKind,
     complex_hessian,
     deriv_xj,
     deriv_xjt,
@@ -33,16 +32,11 @@ from .classify import (
 )
 from .errors import NcError
 from .freealg import (
-    Letter,
     MatrixTuple,
     NcPoly,
-    ShapeFlags,
-    classify_shape,
     direct_sum,
     evaluate,
     format_poly,
-    involution,
-    multiply,
     parse_poly,
 )
 from .ldlt import LdltFactorization, Obstruction, ldlt_factor
@@ -52,7 +46,6 @@ from .mmr import (
     block_view,
     build_mmr,
     check_degree_bound,
-    collapse_scalar_multiples,
     expand_mmr,
 )
 from .numeval import (
@@ -60,7 +53,6 @@ from .numeval import (
     default_policy,
     eval_middle_matrix,
     eval_quadratic,
-    identity_test_size,
     min_eigenvalue,
     random_tuple,
 )
@@ -70,7 +62,6 @@ from .wed import (
     is_complex_hessian,
     is_directional_derivative,
     levi_class,
-    one_class,
 )
 
 __version__ = "0.1.0"
@@ -79,9 +70,7 @@ __all__ = [
     "BorderVector",
     "Counterexample",
     "Decomposition",
-    "DerivativeKind",
     "LdltFactorization",
-    "Letter",
     "MatrixTuple",
     "MiddleMatrix",
     "NcError",
@@ -89,15 +78,12 @@ __all__ = [
     "Obstruction",
     "PlushVerdict",
     "SamplePolicy",
-    "ShapeFlags",
     "Violation",
     "WedClass",
     "antiderivative",
     "block_view",
     "build_mmr",
     "check_degree_bound",
-    "classify_shape",
-    "collapse_scalar_multiples",
     "complex_hessian",
     "decide_plush",
     "default_policy",
@@ -112,16 +98,12 @@ __all__ = [
     "format_poly",
     "full_derivative",
     "full_hessian",
-    "identity_test_size",
-    "involution",
     "is_complex_hessian",
     "is_directional_derivative",
     "ldlt_factor",
     "levi_class",
     "min_eigenvalue",
-    "multiply",
     "nth_derivative",
-    "one_class",
     "parse_poly",
     "random_tuple",
     "structural_screen",

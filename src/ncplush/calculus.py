@@ -12,10 +12,9 @@ transposed ones to ``s``, and we take the coefficient of ``t*s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import AlreadyDirectional
 from .freealg import KIND_H, NcPoly, Word, lx, lxt
@@ -109,58 +108,3 @@ def nth_derivative(p: NcPoly, order: int) -> NcPoly:
             w = tuple(w)
             out[w] = out.get(w, 0) + scaled
     return NcPoly._raw(p.nvars, out)
-
-
-@dataclass(frozen=True)
-class DerivativeKind:
-    """A requested derivative operator: per-variable, full, hessian, or
-    an arbitrary order.  ``apply`` dispatches to the matching function."""
-
-    kind: str  # "x" | "xt" | "full" | "complex_hessian" | "full_hessian" | "order"
-    index: Optional[int] = None
-    order: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind in ("x", "xt") and (self.index is None or self.index < 1):
-            raise ValueError("per-variable derivative needs an index >= 1")
-        if self.kind == "order" and (self.order is None or self.order < 0):
-            raise ValueError("order must be >= 0")
-
-    @classmethod
-    def wrt_x(cls, j: int) -> "DerivativeKind":
-        return cls("x", index=j)
-
-    @classmethod
-    def wrt_xt(cls, j: int) -> "DerivativeKind":
-        return cls("xt", index=j)
-
-    @classmethod
-    def full(cls) -> "DerivativeKind":
-        return cls("full")
-
-    @classmethod
-    def hessian(cls) -> "DerivativeKind":
-        return cls("complex_hessian")
-
-    @classmethod
-    def full_hessian_kind(cls) -> "DerivativeKind":
-        return cls("full_hessian")
-
-    @classmethod
-    def of_order(cls, order: int) -> "DerivativeKind":
-        return cls("order", order=order)
-
-    def apply(self, p: NcPoly) -> NcPoly:
-        if self.kind == "x":
-            return deriv_xj(p, self.index)
-        if self.kind == "xt":
-            return deriv_xjt(p, self.index)
-        if self.kind == "full":
-            return full_derivative(p)
-        if self.kind == "complex_hessian":
-            return complex_hessian(p)
-        if self.kind == "full_hessian":
-            return full_hessian(p)
-        if self.kind == "order":
-            return nth_derivative(p, self.order)
-        raise ValueError(f"unknown derivative kind {self.kind!r}")

@@ -38,7 +38,6 @@ from .freealg import (
     MatrixTuple,
     NcPoly,
     Word,
-    classify_shape,
     format_word,
     is_analytic_word,
     is_antianalytic_word,
@@ -322,7 +321,7 @@ def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
     if any(e <= 0 for e in decomposition.weights_k):
         return False
     for poly in (*decomposition.fs, *decomposition.ks, decomposition.F):
-        if poly.has_directions() or not classify_shape(poly).analytic:
+        if poly.has_directions() or not all(map(is_analytic_word, poly.terms)):
             return False
     return decomposition.expand() == p
 

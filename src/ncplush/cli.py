@@ -26,10 +26,17 @@ import numpy as np
 from .calculus import complex_hessian, full_derivative
 from .classify import decide_plush, verdict_to_dict
 from .errors import NcError
-from .freealg import NcPoly, evaluate, format_poly, format_word, parse_poly
+from .freealg import (
+    MAX_VARIABLE_INDEX,
+    NcPoly,
+    evaluate,
+    format_poly,
+    format_word,
+    parse_poly,
+)
 from .ldlt import Obstruction, ldlt_factor
 from .mmr import build_mmr
-from .numeval import SamplePolicy, default_policy, random_tuple
+from .numeval import MAX_MATRIX_SIZE, SamplePolicy, default_policy, random_tuple
 
 
 class _UsageError(Exception):
@@ -39,6 +46,19 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; we map usage to 1
         raise _UsageError(message)
+
+
+def _int_in(lo: int, hi: int):
+    """argparse type: an int in lo..hi, else a usage error."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside {lo}..{hi}")
+        return value
+    return convert
 
 
 def _build_parser() -> _Parser:
@@ -51,7 +71,8 @@ def _build_parser() -> _Parser:
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("-e", "--expr", help="polynomial, inline")
         src.add_argument("-f", "--file", help="read the polynomial from a file")
-        p.add_argument("--vars", type=int, default=None, metavar="G",
+        p.add_argument("--vars", type=_int_in(1, MAX_VARIABLE_INDEX), default=None,
+                       metavar="G",
                        help="ambient variable count (default: inferred)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
@@ -65,7 +86,8 @@ def _build_parser() -> _Parser:
                            help="eigenvalue tolerance (default 1e-8)")
         if size:
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--size", type=int, default=3, metavar="N",
+            p.add_argument("--size", type=_int_in(1, MAX_MATRIX_SIZE), default=3,
+                           metavar="N",
                            help="matrix size for evaluation (default 3)")
 
     add_common(sub.add_parser("derive", help="first full derivative"))
@@ -220,7 +242,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, NcError) as exc:
+    except (OSError, ValueError, OverflowError, NcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,26 +45,11 @@ KIND_XT = 1
 KIND_H = 2
 KIND_HT = 3
 
-
-class Letter(NamedTuple):
-    """Public view of a letter: variable class, 1-based index, transpose flag."""
-
-    kind: str  # "x" or "h"
-    index: int
-    transposed: bool
-
-    @property
-    def code(self) -> int:
-        k = (0 if self.kind == "x" else 2) | (1 if self.transposed else 0)
-        return ((self.index - 1) << 2) | k
-
-    @staticmethod
-    def from_code(code: int) -> "Letter":
-        k = code & 3
-        return Letter("x" if k < 2 else "h", (code >> 2) + 1, bool(k & 1))
-
-    def involution(self) -> "Letter":
-        return Letter(self.kind, self.index, not self.transposed)
+# Input caps of parse_poly: each nested '(' costs three Python stack frames,
+# and the ambient g sizes every matrix tuple sampled for a polynomial
+# (g*n*n floats), so x99999999 must not become g = 10**8.
+MAX_PAREN_DEPTH = 200
+MAX_VARIABLE_INDEX = 1000
 
 
 def lx(j: int) -> int:
@@ -123,10 +108,6 @@ def is_analytic_word(word: Word) -> bool:
 
 def is_antianalytic_word(word: Word) -> bool:
     return all(c & 1 for c in word)
-
-
-def is_mixed_word(word: Word) -> bool:
-    return any(c & 1 for c in word) and any(not (c & 1) for c in word)
 
 
 def is_hereditary_word(word: Word) -> bool:
@@ -211,10 +192,6 @@ class NcPoly:
     @classmethod
     def monomial(cls, nvars: int, word: Iterable[int], coeff=1) -> "NcPoly":
         return cls(nvars, {tuple(word): Fraction(coeff)})
-
-    @classmethod
-    def var(cls, nvars: int, j: int, transposed: bool = False) -> "NcPoly":
-        return cls(nvars, {(lxt(j) if transposed else lx(j),): Fraction(1)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -325,14 +302,6 @@ class NcPoly:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = NcPoly.const(self.nvars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = NcPoly.const(self.nvars, other)
@@ -351,40 +320,6 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly(g={self.nvars}, {format_poly(self)})"
-
-
-def multiply(a: NcPoly, b: NcPoly) -> NcPoly:
-    """Bilinear product; monomials multiply by word concatenation."""
-    return a * b
-
-
-def involution(p: NcPoly) -> NcPoly:
-    """The anti-automorphism: reverse every word and transpose each letter."""
-    return p.transpose()
-
-
-class ShapeFlags(NamedTuple):
-    """Aggregate shape of a polynomial (every flag quantifies over all terms,
-    except ``mixed`` which is true when *some* term mixes both letter kinds)."""
-
-    analytic: bool
-    antianalytic: bool
-    hereditary: bool
-    antihereditary: bool
-    mixed: bool
-
-
-def classify_shape(p: NcPoly) -> ShapeFlags:
-    """Shape classification.  Direction letters count by their transpose flag,
-    so e.g. ``h1*x2`` is analytic and ``x1'*h1'`` is antianalytic."""
-    words = list(p.terms)
-    return ShapeFlags(
-        analytic=all(is_analytic_word(w) for w in words),
-        antianalytic=all(is_antianalytic_word(w) for w in words),
-        hereditary=all(is_hereditary_word(w) for w in words),
-        antihereditary=all(is_antihereditary_word(w) for w in words),
-        mixed=any(is_mixed_word(w) for w in words),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +501,7 @@ class _Parser:
         self.toks = toks
         self.pos = 0
         self.declared = nvars
-        self.max_index = 0
+        self.depth = 0
 
     def peek(self) -> Optional[_Token]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -636,14 +571,22 @@ class _Parser:
                 raise ParseError(
                     f"variable {tok.text} exceeds declared g={self.declared}",
                     tok.line, tok.col)
-            self.max_index = max(self.max_index, index)
+            if index > MAX_VARIABLE_INDEX:
+                raise ParseError(
+                    f"variable {tok.text} exceeds the limit of "
+                    f"{MAX_VARIABLE_INDEX} variables", tok.line, tok.col)
             code = (lh(index) if tok.text[0] == "h" else lx(index))
             poly = NcPoly._raw(g, {(code,): Fraction(1)})
         elif tok.kind == "op" and tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}",
+                                 tok.line, tok.col)
             poly = self.expr(g)
             close = self.take()
             if not (close.kind == "op" and close.text == ")"):
                 raise ParseError("expected ')'", close.line, close.col)
+            self.depth -= 1
         else:
             raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
         while True:
@@ -660,7 +603,11 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> NcPoly:
 
     With ``nvars`` given, variable indices beyond it are rejected; otherwise
     the ambient count is inferred as the largest index seen (at least 1).
+    Either way g is capped at ``MAX_VARIABLE_INDEX`` and parentheses at
+    ``MAX_PAREN_DEPTH`` levels.
     """
+    if nvars is not None and not 1 <= nvars <= MAX_VARIABLE_INDEX:
+        raise ParseError(f"declared g={nvars} is outside 1..{MAX_VARIABLE_INDEX}", 1, 1)
     toks = _tokenize(text)
     if not toks:
         raise ParseError("empty input", 1, 1)

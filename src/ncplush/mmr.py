@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .errors import (
     MissingStrata,
@@ -64,17 +64,6 @@ def stratum_of(word: Word) -> StratumTag:
     if head & 1:
         return StratumTag("At" if is_antianalytic_word(word) else "Bt", k)
     return StratumTag("A" if is_analytic_word(word) else "B", k)
-
-
-def stratum_capacity(g: int, tag: StratumTag) -> int:
-    """Number of possible border monomials in a stratum.
-
-    A_k and At_k hold g * g**k monomials; B_k and Bt_k hold the h-led words
-    whose tail is not purely of the matching letter class, g*((2g)**k - g**k).
-    """
-    if tag.family in ("A", "At"):
-        return g * g ** tag.k
-    return g * ((2 * g) ** tag.k - g ** tag.k)
 
 
 def _border_sort_key(word: Word):
@@ -121,11 +110,6 @@ class MiddleMatrix:
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def is_symmetric(self) -> bool:
-        n = self.size
-        return all(self.entries[i][j] == self.entries[j][i].T
-                   for i in range(n) for j in range(n))
 
     def grid(self) -> list[list[NcPoly]]:
         return [list(row) for row in self.entries]
@@ -234,36 +218,3 @@ def block_view(middle: MiddleMatrix, border: BorderVector) -> QBlocks:
 def check_degree_bound(border: BorderVector, hessian_degree: int) -> bool:
     """True iff every border monomial has degree at most floor(d/2)."""
     return border.max_degree() <= hessian_degree // 2
-
-
-def collapse_scalar_multiples(
-    entries: Sequence[tuple[Word, Fraction]],
-    grid: Sequence[Sequence[NcPoly]],
-) -> tuple[list[Word], list[list[NcPoly]]]:
-    """Merge border entries that are scalar multiples of a common monomial.
-
-    ``entries`` lists border components as (word, scale) pairs, i.e. the i-th
-    component is scale_i * word_i.  Components sharing a word are collapsed
-    onto its first occurrence, recombining the middle matrix so the expansion
-    is unchanged: a pair (m, a*m) with middle block [[p11, p12], [p21, p22]]
-    becomes the single entry m with p11 + a^2*p22 + a*p21 + a*p12.
-    """
-    words: list[Word] = []
-    first: dict[Word, int] = {}
-    for word, _ in entries:
-        if word not in first:
-            first[word] = len(words)
-            words.append(word)
-    size = len(words)
-    if not grid:
-        return words, []
-    g = grid[0][0].nvars
-    zero = NcPoly.zero(g)
-    out: list[list[NcPoly]] = [[zero] * size for _ in range(size)]
-    for i, (wi, si) in enumerate(entries):
-        for j, (wj, sj) in enumerate(entries):
-            entry = grid[i][j]
-            if not entry.is_zero():
-                a, b = first[wi], first[wj]
-                out[a][b] = out[a][b] + (si * sj) * entry
-    return words, out

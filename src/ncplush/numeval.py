@@ -9,13 +9,17 @@ replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 
 from .errors import NotSymmetric, WrongBidegree
 from .freealg import MatrixTuple, NcPoly, evaluate
 from .mmr import MiddleMatrix
+
+# Largest matrix size a sample policy or ``ncplush eval`` may use: a tuple
+# costs g*n*n floats, and the witness search draws two per sample.
+MAX_MATRIX_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -30,30 +34,23 @@ class SamplePolicy:
     def __post_init__(self):
         if not self.sizes:
             raise ValueError("sample policy needs at least one size")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not all(1 <= n <= MAX_MATRIX_SIZE for n in self.sizes):
+            raise ValueError(f"matrix sizes must lie in 1..{MAX_MATRIX_SIZE}, "
+                             f"got {list(self.sizes)}")
+        if self.samples_per_size < 1:
+            raise ValueError("samples per size must be >= 1")
+        if not (isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be positive and finite")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
 
 def default_policy(hessian_degree: int, seed: int = 0) -> SamplePolicy:
-    """Witness-search default: sizes 1..max(3, ceil(d/2)+1), 200 samples each."""
-    n_max = max(3, ceil(hessian_degree / 2) + 1)
+    """Witness-search default: sizes 1..max(3, ceil(d/2)+1), 200 samples each,
+    capped at ``MAX_MATRIX_SIZE``."""
+    n_max = min(max(3, ceil(hessian_degree / 2) + 1), MAX_MATRIX_SIZE)
     return SamplePolicy(tuple(range(1, n_max + 1)), 200, 1e-8, seed)
-
-
-def identity_test_size(g: int, degree: int, paranoid: bool = False) -> int:
-    """Matrix size at which a nonzero polynomial of the given degree is
-    expected not to vanish at generic tuples.
-
-    The default ``degree + 1`` suffices for generic evaluation; the paranoid
-    variant returns the finite-dimension bound sum_{j=0}^{2d} (2g)^j that is
-    provably sufficient.
-    """
-    if paranoid:
-        return sum((2 * g) ** j for j in range(2 * degree + 1))
-    return degree + 1
 
 
 def random_tuple(g: int, n: int, rng: np.random.Generator) -> MatrixTuple:

@@ -43,15 +43,14 @@ def _strip_directions(word: Word) -> Word:
 
 @dataclass(frozen=True)
 class WedClass:
-    """An equivalence class of wed monomials.
+    """A Levi wed class.
 
     ``representative`` is the canonical member (earliest marker positions),
-    ``members`` the full class, ``kind`` either "levi" or "one".
+    ``members`` the full class.
     """
 
     representative: Word
     members: frozenset[Word]
-    kind: str
 
     def __contains__(self, word: Word) -> bool:
         return word in self.members
@@ -82,7 +81,7 @@ def levi_class(m: Word) -> WedClass:
             "Levi classes need exactly one h and one h' letter, got "
             f"{len(hs)} and {len(hts)}")
     members = _levi_members_ordered(_strip_directions(m))
-    return WedClass(members[0], frozenset(members), "levi")
+    return WedClass(members[0], frozenset(members))
 
 
 def _one_members_ordered(base: Word) -> list[Word]:
@@ -93,16 +92,6 @@ def _one_members_ordered(base: Word) -> list[Word]:
         w[i] = c | KIND_H
         out.append(tuple(w))
     return out
-
-
-def one_class(m: Word) -> WedClass:
-    """The 1-wed class of a monomial with exactly one direction letter."""
-    hs, hts = _direction_positions(m)
-    if len(hs) + len(hts) != 1:
-        raise WrongBidegree(
-            f"1-wed classes need exactly one direction letter, got {len(hs) + len(hts)}")
-    members = _one_members_ordered(_strip_directions(m))
-    return WedClass(members[0], frozenset(members), "one")
 
 
 def _first_class_defect(p: NcPoly,

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from ncplush.calculus import (
-    DerivativeKind,
     complex_hessian,
     deriv_xj,
     deriv_xjt,
@@ -72,19 +71,6 @@ def test_nth_derivative_examples():
     assert nth_derivative(p, 1) == full_derivative(p)
     assert nth_derivative(P("x1*x2", 2), 2) == P("2*h1*h2", 2)
     assert nth_derivative(P("x1*x2", 2), 3) == NcPoly.zero(2)
-
-
-def test_derivative_kind_dispatch():
-    p = P("x1'*x1")
-    assert DerivativeKind.wrt_x(1).apply(p) == deriv_xj(p, 1)
-    assert DerivativeKind.wrt_xt(1).apply(p) == deriv_xjt(p, 1)
-    assert DerivativeKind.full().apply(p) == full_derivative(p)
-    assert DerivativeKind.hessian().apply(p) == complex_hessian(p)
-    assert DerivativeKind.of_order(2).apply(p) == full_hessian(p)
-    with pytest.raises(ValueError):
-        DerivativeKind.wrt_x(0)
-    with pytest.raises(ValueError):
-        DerivativeKind.of_order(-1)
 
 
 def test_linearity_of_operators():

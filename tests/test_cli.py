@@ -1,10 +1,17 @@
 """Command-line interface: outputs, exit codes, determinism, JSON."""
 
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncplush.classify import verdict_from_dict
 from ncplush.cli import main
-from ncplush.freealg import parse_poly
+from ncplush.freealg import MAX_PAREN_DEPTH, MAX_VARIABLE_INDEX, parse_poly
+from ncplush.numeval import MAX_MATRIX_SIZE
 
 
 def run(capsys, *argv):
@@ -132,3 +139,80 @@ def test_classify_rejects_direction_letters(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: decide_plush expects a polynomial without h-letters")
+
+
+def test_deeply_nested_file_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text("(" * 3000 + "x1" + ")" * 3000)
+    code, out, err = run(capsys, "classify", "-f", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: 1:{MAX_PAREN_DEPTH + 1}: parentheses nested deeper")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--sizes", "0"),
+    ("classify", "--sizes", "-2"),
+    ("classify", "--sizes", f"1,{MAX_MATRIX_SIZE + 1}"),
+    ("classify", "--samples", "0"),
+    ("classify", "--tol", "nan"),
+    ("classify", "--vars", "0"),
+    ("eval", "--size", "0"),
+    ("eval", "--size", str(MAX_MATRIX_SIZE + 1)),
+    ("hessian", "--vars", "0"),
+    ("hessian", "--vars", "100000000"),
+])
+def test_out_of_range_flags_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv, "-e", "x1'*x1*x1'*x1")
+    assert code == 1 and out == ""
+    assert err.startswith(("error: ", "usage error: ")) and "Traceback" not in err
+
+
+def test_float_overflow_is_an_error(capsys):
+    code, out, err = run(capsys, "eval", "--size", "1", "-e", "1" + "0" * 400 + "*x1")
+    assert code == 1 and out == ""
+    assert err.startswith(("error: ", "usage error: ")) and "Traceback" not in err
+
+
+def test_hessian_caps_variable_index(capsys):
+    code, out, _ = run(capsys, "hessian", "-e", f"x{MAX_VARIABLE_INDEX}'*x{MAX_VARIABLE_INDEX}")
+    assert code == 0 and out.strip() == f"h{MAX_VARIABLE_INDEX}'*h{MAX_VARIABLE_INDEX}"
+    code, out, err = run(capsys, "hessian", "-e", "x99999999'*x1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: 1:1: variable x99999999 exceeds the limit")
+
+
+_indices = st.one_of(st.sampled_from([1, 2]), st.sampled_from(
+    [MAX_VARIABLE_INDEX - 1, MAX_VARIABLE_INDEX, MAX_VARIABLE_INDEX + 1]))
+_atoms = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from("xh"), _indices,
+              st.sampled_from(["", "'", "''"])),
+    st.sampled_from(["0", "1", "2/3", "1/0", "x", "h0", "1" + "0" * 400]),
+)
+_exprs = st.recursive(_atoms, lambda inner: st.one_of(
+    st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", " "]), inner),
+    st.builds("({})'".format, inner),
+    st.builds("{0} + ({0})'".format, inner),
+), max_leaves=6)
+_texts = st.one_of(
+    _exprs,
+    _exprs.map("{0} + ({0})'".format),
+    st.integers(0, 2 * MAX_PAREN_DEPTH).map(lambda d: "(" * d + "x1'*x1" + ")" * d),
+    st.builds("{}{}{}".format, _exprs, st.text("$#()'+-*/ xh09", max_size=4), _exprs),
+)
+_SUBCOMMANDS = {
+    "derive": [], "hessian": [], "mmr": [], "ldlt": [],
+    "classify": ["--sizes", "1,2", "--samples", "3"],
+    "eval": ["--size", "2"],
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_SUBCOMMANDS)), _texts,
+       st.sampled_from([[], ["--vars", "2"], ["--vars", "0"], ["--json"]]))
+def test_fuzz_main_exits_with_a_code(command, text, extra):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "-e", text, *_SUBCOMMANDS[command], *extra])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,4 @@
-"""Free-algebra core: arithmetic, involution, shape flags, evaluation, grammar."""
+"""Free-algebra core: arithmetic, involution, evaluation, grammar."""
 
 import random
 from fractions import Fraction
@@ -10,19 +10,18 @@ from hypothesis import strategies as st
 
 from ncplush.errors import AmbientMismatch, MissingDirection, ParseError, SizeMismatch
 from ncplush.freealg import (
-    Letter,
+    MAX_PAREN_DEPTH,
+    MAX_VARIABLE_INDEX,
     MatrixTuple,
     NcPoly,
-    classify_shape,
     direct_sum,
     evaluate,
     format_poly,
-    involution,
+    is_analytic_word,
     lh,
     lht,
     lx,
     lxt,
-    multiply,
     parse_poly,
     word_involution,
 )
@@ -38,14 +37,6 @@ def P(text, g=None):
 # letters and words
 # ---------------------------------------------------------------------------
 
-def test_letter_roundtrip_and_involution():
-    for code in (lx(1), lxt(2), lh(3), lht(1)):
-        letter = Letter.from_code(code)
-        assert letter.code == code
-        assert letter.involution().code == code ^ 1
-        assert letter.involution().involution() == letter
-
-
 def test_word_involution_reverses_and_transposes():
     w = (lx(1), lx(2))
     assert word_involution(w) == (lxt(2), lxt(1))
@@ -57,23 +48,22 @@ def test_word_involution_reverses_and_transposes():
 # ---------------------------------------------------------------------------
 
 def test_multiply_concatenates_words():
-    assert multiply(P("x1"), P("x1'")) == P("x1*x1'")
+    assert P("x1") * P("x1'") == P("x1*x1'")
 
 
 def test_multiply_distributes():
-    assert multiply(P("x1 + x2", 2), P("x1", 2)) == P("x1*x1 + x2*x1", 2)
+    assert P("x1 + x2", 2) * P("x1", 2) == P("x1*x1 + x2*x1", 2)
 
 
 def test_analytic_closed_under_products():
     p = P("x1*x2*x4 + x3*x1", 4)  # analytic but not symmetric
-    flags = classify_shape(p)
-    assert flags.analytic and not p.is_symmetric()
-    assert classify_shape(multiply(p, p)).analytic
+    assert all(map(is_analytic_word, p.terms)) and not p.is_symmetric()
+    assert all(map(is_analytic_word, (p * p).terms))
 
 
 def test_multiply_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        multiply(P("x1", 1), P("x2", 2))
+        P("x1", 1) * P("x2", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -81,34 +71,17 @@ def test_multiply_ambient_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_involution_examples():
-    assert involution(P("x1*x2", 2)) == P("x2'*x1'", 2)
+    assert P("x1*x2", 2).T == P("x2'*x1'", 2)
     p = P("x1*x1' + x2'*x2", 2)
-    assert involution(p) == p and p.is_symmetric()
-    assert involution(NcPoly.zero(1)) == NcPoly.zero(1)
+    assert p.T == p and p.is_symmetric()
+    assert NcPoly.zero(1).T == NcPoly.zero(1)
 
 
 def test_involution_is_involutive():
     rng = random.Random(7)
     for _ in range(20):
         p = random_poly(rng, 2)
-        assert involution(involution(p)) == p
-
-
-# ---------------------------------------------------------------------------
-# classify_shape
-# ---------------------------------------------------------------------------
-
-def test_shape_antianalytic():
-    flags = classify_shape(P("x2'*x1' + 4*x3'", 3))
-    assert flags.antianalytic and not flags.analytic
-
-
-def test_shape_hereditary_vs_antihereditary():
-    her = classify_shape(P("x1'*x1"))
-    assert her.hereditary and not her.analytic and not her.antihereditary
-    anti = classify_shape(P("x1*x1'"))
-    assert anti.antihereditary and not anti.hereditary
-    assert classify_shape(P("x1*x1' + x1'*x1")).mixed
+        assert p.T.T == p
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +209,7 @@ def test_ring_axioms(p, q, r):
 @settings(max_examples=60, deadline=None)
 @given(polys(), polys())
 def test_involution_antiautomorphism(p, q):
-    assert involution(multiply(p, q)) == multiply(involution(q), involution(p))
+    assert (p * q).T == q.T * p.T
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +241,24 @@ def test_parse_errors_carry_position():
         parse_poly("")
     with pytest.raises(ParseError):
         parse_poly("x1 +")
+    depth = MAX_PAREN_DEPTH
+    assert parse_poly("(" * depth + "x1" + ")" * depth) == P("x1")
+    with pytest.raises(ParseError) as err:
+        parse_poly("(" * 3000 + "x1" + ")" * 3000)
+    assert err.value.line == 1 and err.value.column == depth + 1
+
+
+def test_parse_caps_variable_index():
+    cap = MAX_VARIABLE_INDEX
+    assert P(f"x{cap}").nvars == cap
+    with pytest.raises(ParseError) as err:
+        parse_poly(f"x1 + h{cap + 1}")
+    assert err.value.column == 6
+    with pytest.raises(ParseError):
+        parse_poly("x99999999")
+    for g in (0, cap + 1, 100000000):
+        with pytest.raises(ParseError):
+            parse_poly("x1", g)
 
 
 def test_parse_infers_ambient():

@@ -8,11 +8,11 @@ from ncplush.errors import NotSymmetric, WrongBidegree
 from ncplush.freealg import MatrixTuple, direct_sum, parse_poly
 from ncplush.mmr import build_mmr
 from ncplush.numeval import (
+    MAX_MATRIX_SIZE,
     SamplePolicy,
     default_policy,
     eval_middle_matrix,
     eval_quadratic,
-    identity_test_size,
     min_eigenvalue,
     quadratic_min_eigenvalue,
     random_tuple,
@@ -85,10 +85,18 @@ def test_policy_validation_and_sizes():
         SamplePolicy(())
     with pytest.raises(ValueError):
         SamplePolicy((1,), tol=0.0)
+    for sizes in ((0,), (-2,), (1, MAX_MATRIX_SIZE + 1)):
+        with pytest.raises(ValueError):
+            SamplePolicy(sizes)
+    with pytest.raises(ValueError):
+        SamplePolicy((1,), samples_per_size=0)
+    for tol in (float("nan"), float("inf"), -1e-8):
+        with pytest.raises(ValueError):
+            SamplePolicy((1,), tol=tol)
+    assert SamplePolicy((1, MAX_MATRIX_SIZE), 1).sizes == (1, MAX_MATRIX_SIZE)
     assert default_policy(4).sizes == (1, 2, 3)
     assert default_policy(8).sizes == (1, 2, 3, 4, 5)
-    assert identity_test_size(2, 3) == 4
-    assert identity_test_size(1, 2, paranoid=True) == 31
+    assert default_policy(1000).sizes[-1] == MAX_MATRIX_SIZE
 
 
 def test_positivity_transfer_coherence(small_corpus):

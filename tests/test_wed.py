@@ -12,7 +12,6 @@ from ncplush.wed import (
     is_complex_hessian,
     is_directional_derivative,
     levi_class,
-    one_class,
 )
 
 from conftest import random_analytic, random_poly
@@ -48,20 +47,6 @@ def test_levi_class_singleton():
     assert cls.members == {single_word("h1'*h1")}
 
 
-def test_one_class_examples():
-    a = one_class(single_word("h1*x2'*x1", 2))
-    b = one_class(single_word("x1*h2'*x1", 2))
-    assert a == b and len(a) == 3
-
-    c = one_class(single_word("x2*h2*x2", 2))
-    d = one_class(single_word("x1*x2*h2", 2))
-    assert c != d
-
-    assert one_class(single_word("h1")).members == {single_word("h1")}
-    with pytest.raises(WrongBidegree):
-        one_class(single_word("h1*h2", 2))
-
-
 def test_wed_relations_are_equivalences():
     rng = random.Random(41)
     for _ in range(20):
@@ -71,13 +56,6 @@ def test_wed_relations_are_equivalences():
             assert word in cls  # reflexive
             for member in cls.members:
                 assert levi_class(member) == cls  # symmetric + transitive
-    for _ in range(20):
-        f = full_derivative(random_analytic(rng, 2, max_deg=3, min_deg=1))
-        for word in f.terms:
-            cls = one_class(word)
-            assert word in cls
-            for member in cls.members:
-                assert one_class(member) == cls
 
 
 def test_is_complex_hessian_accepts_true_hessian():

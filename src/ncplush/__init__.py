@@ -26,7 +26,6 @@ from .classify import (
     decide_plush,
     find_witness,
     structural_screen,
-    verdict_from_dict,
     verdict_to_dict,
     verify_decomposition,
 )
@@ -50,7 +49,6 @@ from .mmr import (
 )
 from .numeval import (
     SamplePolicy,
-    default_policy,
     eval_middle_matrix,
     eval_quadratic,
     min_eigenvalue,
@@ -86,7 +84,6 @@ __all__ = [
     "check_degree_bound",
     "complex_hessian",
     "decide_plush",
-    "default_policy",
     "deriv_xj",
     "deriv_xjt",
     "direct_sum",
@@ -107,7 +104,6 @@ __all__ = [
     "parse_poly",
     "random_tuple",
     "structural_screen",
-    "verdict_from_dict",
     "verdict_to_dict",
     "verify_decomposition",
 ]

@@ -21,7 +21,7 @@ fill in two unique constant matrices G_f and G_k, and an exact LDL' of each
 with nonnegative D is the certificate.  Any other outcome is refuted on the
 complex hessian, whose structural screen (even degree, no mixed border
 strata, hereditary/antihereditary blocks, border degree bound) labels the
-refutation and steers the witness search.
+refutation before a seeded random search for the witness.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .calculus import _require_direction_free, complex_hessian
 from .errors import InternalInconsistency, NotSymmetric
@@ -43,18 +41,12 @@ from .freealg import (
     is_antianalytic_word,
     is_antihereditary_word,
     is_hereditary_word,
-    letter_index,
     word_involution,
     word_key,
 )
 from .ldlt import LdltFactorization, Obstruction, ldlt_factor
 from .mmr import BorderVector, MiddleMatrix, block_view, build_mmr, check_degree_bound
-from .numeval import (
-    SamplePolicy,
-    default_policy,
-    quadratic_min_eigenvalue,
-    random_tuple,
-)
+from .numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
 # unused here; the benchmark's traced run wraps these names on this module
 from .wed import antiderivative, is_directional_derivative  # noqa: F401
 
@@ -64,6 +56,7 @@ HEREDITARY_VIOLATION = "hereditary_violation"
 ODD_DEGREE = "odd_degree"
 DEGREE_BOUND = "degree_bound"
 OBSTRUCTION = "obstruction"
+NEGATIVE_PIVOT = "negative_pivot"
 NUMERIC_SAMPLE = "numeric_sample"
 
 
@@ -180,38 +173,20 @@ def find_witness(q: NcPoly, hint: Optional[Violation] = None,
                  policy: Optional[SamplePolicy] = None) -> Optional[Counterexample]:
     """Random search for (X, H) with a negative hessian eigenvalue.
 
-    Entries are i.i.d. uniform on [-1, 1] over the policy's sizes; for
-    mixed-block hints the direction tuple is first seeded one-hot from the
-    offending border monomial's direction letter.  Returns None when the
-    budget is exhausted (the caller reports inconclusive).
+    Entries are i.i.d. uniform on [-1, 1] over the policy's sizes for q; the
+    hint only labels the path.  Returns None when the budget is exhausted
+    (the caller reports inconclusive).
     """
-    if policy is None:
-        policy = default_policy(q.degree())
+    policy = policy or SamplePolicy()
     rng = policy.rng()
     g = q.nvars
     path = hint.kind if hint is not None else NUMERIC_SAMPLE
-    hinted_index = None
-    if hint is not None and hint.border_word:
-        hinted_index = letter_index(hint.border_word[0])
-
-    def check(X: MatrixTuple, H: MatrixTuple) -> Optional[Counterexample]:
-        value = quadratic_min_eigenvalue(q, X, H)
-        if value <= -policy.tol:
-            return Counterexample(X, H, value, path)
-        return None
-
-    for n in policy.sizes:
-        if hinted_index is not None:
-            seed_h = [np.zeros((n, n)) for _ in range(g)]
-            seed_h[hinted_index - 1] = np.eye(n)
-            for _ in range(2):
-                hit = check(random_tuple(g, n, rng), MatrixTuple(seed_h))
-                if hit:
-                    return hit
+    for n in policy.sizes_for(q.degree()):
         for _ in range(policy.samples_per_size):
-            hit = check(random_tuple(g, n, rng), random_tuple(g, n, rng))
-            if hit:
-                return hit
+            X, H = random_tuple(g, n, rng), random_tuple(g, n, rng)
+            value = quadratic_min_eigenvalue(q, X, H)
+            if value <= -policy.tol:
+                return Counterexample(X, H, value, path)
     return None
 
 
@@ -238,8 +213,7 @@ def _gram_entries(p: NcPoly) -> tuple[tuple[dict, dict], Optional[Word]]:
     return (gram_f, gram_k), None
 
 
-def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
-                 seed: int = 0) -> PlushVerdict:
+def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdict:
     """Decide nc plurisubharmonicity of a symmetric polynomial."""
     if not p.is_symmetric():
         raise NotSymmetric("decide_plush requires p' = p")
@@ -249,7 +223,7 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
     if stray is not None:
         return _refute(p, Violation(
             OBSTRUCTION, f"term {format_word(stray)} is neither analytic, "
-            "antianalytic, a'b nor ab' with analytic a, b"), policy, seed)
+            "antianalytic, a'b nor ab' with analytic a, b"), policy)
 
     facs: list[Optional[LdltFactorization]] = []
     word_lists: list[tuple[Word, ...]] = []
@@ -263,12 +237,11 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
         if isinstance(fac, Obstruction):
             return _refute(p, Violation(
                 OBSTRUCTION, f"no constant pivot in the {side} Gram matrix:\n"
-                + _words_line(words) + "\n" + fac.dump()), policy, seed)
+                + _words_line(words) + "\n" + fac.dump()), policy)
         diag = fac.diag_values() if fac is not None else []
         if any(d < 0 for d in diag):
             return _refute(p, Violation(
-                NUMERIC_SAMPLE, f"a negative pivot in the {side} Gram matrix"),
-                policy, seed)
+                NEGATIVE_PIVOT, f"a negative pivot in the {side} Gram matrix"), policy)
         weights, pieces = [], []
         for i, d in enumerate(diag):
             if d > 0:  # weight D[i] on the square of sum_r L[r, i] word_r
@@ -290,16 +263,15 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None,
 
 
 def _refute(p: NcPoly, gram_violation: Violation,
-            policy: Optional[SamplePolicy], seed: int) -> PlushVerdict:
+            policy: Optional[SamplePolicy]) -> PlushVerdict:
     """Search a witness on the complex hessian of p.
 
-    A failed structural screen labels the refutation and hints the search;
-    when the screen passes, the Gram result labels it.
+    A failed structural screen labels the refutation; when the screen
+    passes, the Gram result labels it.
     """
     q = complex_hessian(p)
     border, middle = build_mmr(q)
-    if policy is None:
-        policy = default_policy(q.degree(), seed)
+    policy = policy or SamplePolicy()
     violation = structural_screen(q, border, middle) or gram_violation
     witness = find_witness(q, violation, policy)
     if witness is not None:
@@ -308,7 +280,7 @@ def _refute(p: NcPoly, gram_violation: Violation,
         "inconclusive",
         reason=f"{violation.kind}: {violation.detail} (refutation is forced, "
                f"but no witness within {policy.samples_per_size} samples per "
-               f"size {list(policy.sizes)})")
+               f"size {list(policy.sizes_for(q.degree()))})")
 
 
 def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
@@ -386,19 +358,6 @@ def _ldlt_to_dict(fac: Optional[LdltFactorization], words: tuple[Word, ...]
     }
 
 
-def _ldlt_from_dict(data: Optional[dict], nvars: int
-                    ) -> tuple[Optional[LdltFactorization], tuple[Word, ...]]:
-    from .freealg import parse_poly
-
-    if data is None:
-        return None, ()
-    words = tuple(next(iter(parse_poly(s, nvars).terms)) for s in data.get("words", ()))
-    diag = tuple(parse_poly(s, nvars) for s in data["diag"])
-    lower = tuple(tuple(parse_poly(s, nvars) for s in row) for row in data["lower"])
-    return LdltFactorization(nvars, tuple(data["perm"]), lower, diag,
-                             tuple(d.constant_value() is not None for d in diag)), words
-
-
 def verdict_to_dict(verdict: PlushVerdict, nvars: int) -> dict:
     out: dict = {"verdict": verdict.kind, "nvars": nvars}
     if verdict.decomposition is not None:
@@ -428,34 +387,3 @@ def verdict_to_dict(verdict: PlushVerdict, nvars: int) -> dict:
     if verdict.reason is not None:
         out["reason"] = verdict.reason
     return out
-
-
-def verdict_from_dict(data: dict) -> PlushVerdict:
-    from .freealg import parse_poly
-
-    nvars = data["nvars"]
-    decomposition = None
-    if "decomposition" in data:
-        dec = data["decomposition"]
-        decomposition = Decomposition(
-            tuple(Fraction(s) for s in dec["weights_f"]),
-            tuple(parse_poly(s, nvars) for s in dec["fs"]),
-            tuple(Fraction(s) for s in dec["weights_k"]),
-            tuple(parse_poly(s, nvars) for s in dec["ks"]),
-            parse_poly(dec["F"], nvars),
-        )
-    ldlt_a, words_a = _ldlt_from_dict(data.get("ldlt", {}).get("analytic"), nvars)
-    ldlt_at, words_at = _ldlt_from_dict(data.get("ldlt", {}).get("antianalytic"), nvars)
-    counterexample = None
-    if "counterexample" in data:
-        cex = data["counterexample"]
-        counterexample = Counterexample(
-            MatrixTuple([np.array(m) for m in cex["X"]]),
-            MatrixTuple([np.array(m) for m in cex["H"]]),
-            cex["eigenvalue"],
-            cex["path"],
-        )
-    return PlushVerdict(data["verdict"], decomposition=decomposition,
-                        ldlt_analytic=ldlt_a, ldlt_antianalytic=ldlt_at,
-                        words_analytic=words_a, words_antianalytic=words_at,
-                        counterexample=counterexample, reason=data.get("reason"))

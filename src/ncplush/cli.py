@@ -36,7 +36,7 @@ from .freealg import (
 )
 from .ldlt import Obstruction, ldlt_factor
 from .mmr import build_mmr
-from .numeval import MAX_MATRIX_SIZE, SamplePolicy, default_policy, random_tuple
+from .numeval import MAX_MATRIX_SIZE, SamplePolicy, random_tuple
 
 
 class _UsageError(Exception):
@@ -48,14 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_in(lo: int, hi: int):
-    """argparse type: an int in lo..hi, else a usage error."""
+def _int_in(lo: int, hi: Optional[int] = None):
+    """argparse type: an int in lo..hi (no upper end when hi is None), else a
+    usage error."""
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not lo <= value <= hi:
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below {lo}")
+        if hi is not None and value > hi:
             raise argparse.ArgumentTypeError(f"{value} is outside {lo}..{hi}")
         return value
     return convert
@@ -76,16 +79,17 @@ def _build_parser() -> _Parser:
                        help="ambient variable count (default: inferred)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
+        if sampling or size:
+            p.add_argument("--seed", type=_int_in(0), default=SamplePolicy.seed)
         if sampling:
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--sizes", default=None, metavar="N1,N2,..",
-                           help="matrix sizes for the witness search")
-            p.add_argument("--samples", type=int, default=200,
-                           help="samples per size (default 200)")
-            p.add_argument("--tol", type=float, default=1e-8,
-                           help="eigenvalue tolerance (default 1e-8)")
+                           help="matrix sizes for the witness search "
+                                "(default: from the hessian degree)")
+            p.add_argument("--samples", type=int, default=SamplePolicy.samples_per_size,
+                           help="samples per size (default %(default)s)")
+            p.add_argument("--tol", type=float, default=SamplePolicy.tol,
+                           help="eigenvalue tolerance (default %(default)s)")
         if size:
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--size", type=_int_in(1, MAX_MATRIX_SIZE), default=3,
                            metavar="N",
                            help="matrix size for evaluation (default 3)")
@@ -168,19 +172,16 @@ def _cmd_ldlt(args) -> int:
     return 0
 
 
-def _policy_for(args, poly: NcPoly) -> Optional[SamplePolicy]:
-    if args.sizes is None and args.samples == 200 and args.tol == 1e-8:
-        return None  # let the pipeline pick its defaults for this hessian
+def _policy_for(args) -> SamplePolicy:
+    sizes = None
     if args.sizes is not None:
         sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-    else:
-        sizes = default_policy(complex_hessian(poly).degree()).sizes
     return SamplePolicy(sizes, args.samples, args.tol, args.seed)
 
 
 def _cmd_classify(args) -> int:
     poly = _load_poly(args)
-    verdict = decide_plush(poly, policy=_policy_for(args, poly), seed=args.seed)
+    verdict = decide_plush(poly, policy=_policy_for(args))
     if args.json:
         _emit_json(verdict_to_dict(verdict, poly.nvars))
     else:

@@ -46,10 +46,12 @@ KIND_H = 2
 KIND_HT = 3
 
 # Input caps of parse_poly: each nested '(' costs three Python stack frames,
-# and the ambient g sizes every matrix tuple sampled for a polynomial
-# (g*n*n floats), so x99999999 must not become g = 10**8.
+# the ambient g sizes every matrix tuple sampled for a polynomial
+# (g*n*n floats), so x99999999 must not become g = 10**8, and products are
+# expanded eagerly, so (x1+x2) repeated k times would hold 2**k terms.
 MAX_PAREN_DEPTH = 200
 MAX_VARIABLE_INDEX = 1000
+MAX_TERMS = 10_000
 
 
 def lx(j: int) -> int:
@@ -70,11 +72,6 @@ def lh(j: int) -> int:
 def lht(j: int) -> int:
     """Letter code for h_j'."""
     return ((j - 1) << 2) | KIND_HT
-
-
-def letter_index(code: int) -> int:
-    """1-based variable index of a letter code."""
-    return (code >> 2) + 1
 
 
 def format_letter(code: int) -> str:
@@ -538,12 +535,16 @@ class _Parser:
             tok = self.peek()
             if tok and tok.kind == "op" and tok.text == "*":
                 self.take()
-                acc = acc * self.factor(g)
-            elif tok and (tok.kind in ("int", "var")
-                          or (tok.kind == "op" and tok.text == "(")):
-                acc = acc * self.factor(g)  # juxtaposition
-            else:
-                return acc
+            elif not (tok and (tok.kind in ("int", "var")
+                               or (tok.kind == "op" and tok.text == "("))):
+                return acc  # neither '*' nor juxtaposition
+            start = self.pos
+            factor = self.factor(g)
+            if len(acc.terms) * len(factor.terms) > MAX_TERMS:
+                at = self.toks[start]
+                raise ParseError(f"product exceeds the limit of {MAX_TERMS} terms",
+                                 at.line, at.col)
+            acc = acc * factor
 
     def factor(self, g: int) -> NcPoly:
         tok = self.take()
@@ -603,8 +604,9 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> NcPoly:
 
     With ``nvars`` given, variable indices beyond it are rejected; otherwise
     the ambient count is inferred as the largest index seen (at least 1).
-    Either way g is capped at ``MAX_VARIABLE_INDEX`` and parentheses at
-    ``MAX_PAREN_DEPTH`` levels.
+    Either way g is capped at ``MAX_VARIABLE_INDEX``, parentheses at
+    ``MAX_PAREN_DEPTH`` levels, and each product at ``MAX_TERMS`` pairs of
+    terms.
     """
     if nvars is not None and not 1 <= nvars <= MAX_VARIABLE_INDEX:
         raise ParseError(f"declared g={nvars} is outside 1..{MAX_VARIABLE_INDEX}", 1, 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
+from typing import Optional
 
 import numpy as np
 
@@ -24,33 +25,39 @@ MAX_MATRIX_SIZE = 64
 
 @dataclass(frozen=True)
 class SamplePolicy:
-    """Sampling plan for positivity and witness searches."""
+    """Sampling plan for the witness search.
 
-    sizes: tuple[int, ...]
+    ``sizes=None`` sizes the search from the hessian (see ``sizes_for``).
+    """
+
+    sizes: Optional[tuple[int, ...]] = None
     samples_per_size: int = 200
     tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sizes:
+        if self.sizes is not None and not self.sizes:
             raise ValueError("sample policy needs at least one size")
-        if not all(1 <= n <= MAX_MATRIX_SIZE for n in self.sizes):
+        if not all(1 <= n <= MAX_MATRIX_SIZE for n in self.sizes or ()):
             raise ValueError(f"matrix sizes must lie in 1..{MAX_MATRIX_SIZE}, "
                              f"got {list(self.sizes)}")
         if self.samples_per_size < 1:
             raise ValueError("samples per size must be >= 1")
         if not (isfinite(self.tol) and self.tol > 0):
             raise ValueError("tolerance must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+    def sizes_for(self, hessian_degree: int) -> tuple[int, ...]:
+        """The given sizes, else 1..max(3, ceil(d/2)+1) for hessian degree d,
+        capped at ``MAX_MATRIX_SIZE``."""
+        if self.sizes is not None:
+            return self.sizes
+        return tuple(range(1, min(max(3, ceil(hessian_degree / 2) + 1),
+                                  MAX_MATRIX_SIZE) + 1))
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
-
-
-def default_policy(hessian_degree: int, seed: int = 0) -> SamplePolicy:
-    """Witness-search default: sizes 1..max(3, ceil(d/2)+1), 200 samples each,
-    capped at ``MAX_MATRIX_SIZE``."""
-    n_max = min(max(3, ceil(hessian_degree / 2) + 1), MAX_MATRIX_SIZE)
-    return SamplePolicy(tuple(range(1, n_max + 1)), 200, 1e-8, seed)
 
 
 def random_tuple(g: int, n: int, rng: np.random.Generator) -> MatrixTuple:

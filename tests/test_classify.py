@@ -1,5 +1,6 @@
 """End-to-end decision pipeline: screens, certificates, refutations."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from ncplush.classify import (
     find_witness,
     format_report,
     structural_screen,
-    verdict_from_dict,
     verdict_to_dict,
     verify_decomposition,
 )
@@ -106,7 +106,7 @@ def test_decide_plush_refutes_quartic():
 def test_decide_plush_negative_weight_refuted():
     verdict = decide_plush(P("0 - x1'*x1"))
     assert verdict.kind == "not_plush"
-    assert verdict.counterexample.path == "numeric_sample"
+    assert verdict.counterexample.path == "negative_pivot"
 
 
 def test_find_witness_trivial_sign_case():
@@ -131,8 +131,8 @@ def test_inconclusive_reported_distinctly():
 
 def test_verdict_determinism():
     p = P("x1'*x1*x1'*x1")
-    a = decide_plush(p, seed=7)
-    b = decide_plush(p, seed=7)
+    a = decide_plush(p, SamplePolicy(seed=7))
+    b = decide_plush(p, SamplePolicy(seed=7))
     assert a == b
     assert format_report(a) == format_report(b)
 
@@ -212,16 +212,17 @@ def test_refutations_carry_verified_witnesses():
 
 def test_verdict_json_roundtrip():
     plush = decide_plush(P("x1'*x1 + x2*x2' + x1*x2 + x2'*x1'", 2))
-    data = verdict_to_dict(plush, 2)
-    assert verdict_from_dict(data) == plush
+    data = json.loads(json.dumps(verdict_to_dict(plush, 2)))
+    assert data["verdict"] == "plush" and data["nvars"] == 2
+    assert P(data["decomposition"]["F"], 2) == P("x1*x2", 2)
 
     refuted = decide_plush(P("x1'*x1*x1'*x1"))
-    data2 = verdict_to_dict(refuted, 1)
-    assert verdict_from_dict(data2) == refuted
-
-    import json
-
-    assert verdict_from_dict(json.loads(json.dumps(data2))) == refuted
+    data2 = json.loads(json.dumps(verdict_to_dict(refuted, 1)))
+    cex = refuted.counterexample
+    assert data2["verdict"] == "not_plush"
+    assert data2["counterexample"]["eigenvalue"] == cex.eigenvalue
+    assert data2["counterexample"]["path"] == cex.path
+    assert np.array_equal(data2["counterexample"]["X"], [m.tolist() for m in cex.X.entries])
 
 
 def test_gram_factorizations_name_their_words():

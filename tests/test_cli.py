@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncplush.classify import verdict_from_dict
 from ncplush.cli import main
-from ncplush.freealg import MAX_PAREN_DEPTH, MAX_VARIABLE_INDEX, parse_poly
+from ncplush.freealg import MAX_PAREN_DEPTH, MAX_TERMS, MAX_VARIABLE_INDEX, parse_poly
 from ncplush.numeval import MAX_MATRIX_SIZE
 
 
@@ -108,15 +107,16 @@ def test_json_roundtrip_through_cli(capsys):
     code, out, _ = run(capsys, "classify", "--json", "--vars", "2",
                        "-e", "x1'*x1 + x2*x2' + x1*x2 + x2'*x1'")
     assert code == 0
-    verdict = verdict_from_dict(json.loads(out))
-    assert verdict.is_plush
-    assert verdict.decomposition.F == parse_poly("x1*x2", 2)
+    data = json.loads(out)
+    assert data["verdict"] == "plush"
+    assert parse_poly(data["decomposition"]["F"], 2) == parse_poly("x1*x2", 2)
 
     code2, out2, _ = run(capsys, "classify", "--json", "--vars", "1",
                          "-e", "x1'*x1*x1'*x1")
     assert code2 == 2
-    verdict2 = verdict_from_dict(json.loads(out2))
-    assert verdict2.counterexample.eigenvalue <= -1e-8
+    data2 = json.loads(out2)
+    assert data2["verdict"] == "not_plush"
+    assert data2["counterexample"]["eigenvalue"] <= -1e-8
 
 
 def test_json_mode_other_commands(capsys):
@@ -157,6 +157,8 @@ def test_deeply_nested_file_is_a_parse_error(capsys, tmp_path):
     ("classify", "--samples", "0"),
     ("classify", "--tol", "nan"),
     ("classify", "--vars", "0"),
+    ("classify", "--seed", "-5"),
+    ("eval", "--seed", "-1"),
     ("eval", "--size", "0"),
     ("eval", "--size", str(MAX_MATRIX_SIZE + 1)),
     ("hessian", "--vars", "0"),
@@ -166,6 +168,13 @@ def test_out_of_range_flags_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv, "-e", "x1'*x1*x1'*x1")
     assert code == 1 and out == ""
     assert err.startswith(("error: ", "usage error: ")) and "Traceback" not in err
+
+
+def test_default_sizes_follow_the_hessian_with_other_flags(capsys):
+    code, out, _ = run(capsys, "classify", "-e", "x1'*x1*x1'*x1",
+                       "--samples", "1", "--tol", "1e9")
+    assert code == 3 and out.startswith("verdict: inconclusive")
+    assert "1 samples per size [1, 2, 3])" in out
 
 
 def test_float_overflow_is_an_error(capsys):
@@ -180,6 +189,13 @@ def test_hessian_caps_variable_index(capsys):
     code, out, err = run(capsys, "hessian", "-e", "x99999999'*x1")
     assert code == 1 and out == ""
     assert err.startswith("error: 1:1: variable x99999999 exceeds the limit")
+
+
+def test_hessian_caps_term_count(capsys):
+    code, out, err = run(capsys, "hessian", "-e", "(x1+x2)" * 30)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: 1:92: product exceeds the limit of {MAX_TERMS} terms")
+    assert "Traceback" not in err
 
 
 _indices = st.one_of(st.sampled_from([1, 2]), st.sampled_from(

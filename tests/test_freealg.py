@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ncplush.errors import AmbientMismatch, MissingDirection, ParseError, SizeMismatch
 from ncplush.freealg import (
     MAX_PAREN_DEPTH,
+    MAX_TERMS,
     MAX_VARIABLE_INDEX,
     MatrixTuple,
     NcPoly,
@@ -259,6 +260,17 @@ def test_parse_caps_variable_index():
     for g in (0, cap + 1, 100000000):
         with pytest.raises(ParseError):
             parse_poly("x1", g)
+
+
+def test_parse_caps_term_count():
+    assert len(P("(x1+x2)" * 13).terms) == 2**13 <= MAX_TERMS
+    with pytest.raises(ParseError) as err:
+        parse_poly("(x1+x2)" * 30)
+    assert err.value.column == 13 * 7 + 1
+    wide = "(" + "+".join(f"x{i}" for i in range(1, 102)) + ")"  # 101 terms
+    with pytest.raises(ParseError) as err:
+        parse_poly(wide * 2)
+    assert err.value.column == len(wide) + 1
 
 
 def test_parse_infers_ambient():

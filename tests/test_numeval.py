@@ -10,7 +10,6 @@ from ncplush.mmr import build_mmr
 from ncplush.numeval import (
     MAX_MATRIX_SIZE,
     SamplePolicy,
-    default_policy,
     eval_middle_matrix,
     eval_quadratic,
     min_eigenvalue,
@@ -93,10 +92,14 @@ def test_policy_validation_and_sizes():
     for tol in (float("nan"), float("inf"), -1e-8):
         with pytest.raises(ValueError):
             SamplePolicy((1,), tol=tol)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SamplePolicy((1,), seed=-1)
+    assert SamplePolicy(seed=2**100).rng() is not None
     assert SamplePolicy((1, MAX_MATRIX_SIZE), 1).sizes == (1, MAX_MATRIX_SIZE)
-    assert default_policy(4).sizes == (1, 2, 3)
-    assert default_policy(8).sizes == (1, 2, 3, 4, 5)
-    assert default_policy(1000).sizes[-1] == MAX_MATRIX_SIZE
+    assert SamplePolicy((2,)).sizes_for(1000) == (2,)
+    assert SamplePolicy().sizes_for(4) == (1, 2, 3)
+    assert SamplePolicy().sizes_for(8) == (1, 2, 3, 4, 5)
+    assert SamplePolicy().sizes_for(1000)[-1] == MAX_MATRIX_SIZE
 
 
 def test_positivity_transfer_coherence(small_corpus):

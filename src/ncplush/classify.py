@@ -20,8 +20,8 @@ plush p is a'b or ab' with nonempty analytic a, b, so the coefficients of p
 fill in two unique constant matrices G_f and G_k, and an exact LDL' of each
 with nonnegative D is the certificate.  Any other outcome is refuted on the
 complex hessian, whose structural screen (even degree, no mixed border
-strata, hereditary/antihereditary blocks, border degree bound) labels the
-refutation before a seeded random search for the witness.
+strata, border degree bound) labels the refutation before a seeded random
+search for the witness.
 """
 
 from __future__ import annotations
@@ -39,25 +39,22 @@ from .freealg import (
     format_word,
     is_analytic_word,
     is_antianalytic_word,
-    is_antihereditary_word,
-    is_hereditary_word,
     word_involution,
     word_key,
 )
 from .ldlt import LdltFactorization, Obstruction, ldlt_factor
-from .mmr import BorderVector, MiddleMatrix, block_view, build_mmr, check_degree_bound
+from .mmr import BorderVector, build_mmr, check_degree_bound
 from .numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
 # unused here; the benchmark's traced run wraps these names on this module
+from .mmr import block_view  # noqa: F401
 from .wed import antiderivative, is_directional_derivative  # noqa: F401
 
 # refutation paths
 MIXED_BLOCK = "mixed_block"
-HEREDITARY_VIOLATION = "hereditary_violation"
 ODD_DEGREE = "odd_degree"
 DEGREE_BOUND = "degree_bound"
 OBSTRUCTION = "obstruction"
 NEGATIVE_PIVOT = "negative_pivot"
-NUMERIC_SAMPLE = "numeric_sample"
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,6 @@ class Violation:
 
     kind: str
     detail: str
-    border_word: Optional[Word] = None
 
 
 @dataclass(frozen=True)
@@ -128,40 +124,25 @@ class PlushVerdict:
         return format_report(self)
 
 
-def structural_screen(q: NcPoly, border: BorderVector, middle: MiddleMatrix
-                      ) -> Optional[Violation]:
+def structural_screen(q: NcPoly, border: BorderVector) -> Optional[Violation]:
     """Check the necessary conditions for positivity of a complex hessian.
 
     Returns None on pass; any violation soundly implies the polynomial is
     not plush on any nc open set (a numeric witness is still searched for).
+    The block structure needs no check of its own: in a non-hereditary
+    analytic-block entry of a complex hessian, some x precedes some y', and
+    the term of q that marks that x as h has y' in a mixed border monomial
+    (likewise for the antianalytic block).
     """
     degree = q.degree()
     if degree % 2 == 1:
         return Violation(ODD_DEGREE, f"hessian degree {degree} is odd")
     mixed = border.family_indices("B") + border.family_indices("Bt")
     if mixed:
-        word = border.entries[min(mixed)]
         return Violation(
             MIXED_BLOCK,
-            f"mixed border monomial {format_word(word)} forces a nonzero "
-            "coupling outside the analytic/antianalytic blocks",
-            border_word=word)
-    blocks = block_view(middle, border)
-    for row in blocks.q1:
-        for entry in row:
-            for w in entry.terms:
-                if not is_hereditary_word(w):
-                    return Violation(
-                        HEREDITARY_VIOLATION,
-                        f"analytic-block entry term {format_word(w)} is not hereditary")
-    for row in blocks.q5:
-        for entry in row:
-            for w in entry.terms:
-                if not is_antihereditary_word(w):
-                    return Violation(
-                        HEREDITARY_VIOLATION,
-                        f"antianalytic-block entry term {format_word(w)} "
-                        "is not antihereditary")
+            f"mixed border monomial {format_word(border.entries[min(mixed)])} "
+            "forces a nonzero coupling outside the analytic/antianalytic blocks")
     if not check_degree_bound(border, degree):
         return Violation(
             DEGREE_BOUND,
@@ -169,33 +150,32 @@ def structural_screen(q: NcPoly, border: BorderVector, middle: MiddleMatrix
     return None
 
 
-def find_witness(q: NcPoly, hint: Optional[Violation] = None,
+def find_witness(q: NcPoly, violation: Violation,
                  policy: Optional[SamplePolicy] = None) -> Optional[Counterexample]:
     """Random search for (X, H) with a negative hessian eigenvalue.
 
     Entries are i.i.d. uniform on [-1, 1] over the policy's sizes for q; the
-    hint only labels the path.  Returns None when the budget is exhausted
-    (the caller reports inconclusive).
+    violation only labels the path.  Returns None when the budget is
+    exhausted (the caller reports inconclusive).
     """
     policy = policy or SamplePolicy()
     rng = policy.rng()
     g = q.nvars
-    path = hint.kind if hint is not None else NUMERIC_SAMPLE
     for n in policy.sizes_for(q.degree()):
         for _ in range(policy.samples_per_size):
             X, H = random_tuple(g, n, rng), random_tuple(g, n, rng)
             value = quadratic_min_eigenvalue(q, X, H)
             if value <= -policy.tol:
-                return Counterexample(X, H, value, path)
+                return Counterexample(X, H, value, violation.kind)
     return None
 
 
-def _gram_entries(p: NcPoly) -> tuple[tuple[dict, dict], Optional[Word]]:
+def _gram_entries(p: NcPoly) -> Optional[tuple[dict, dict]]:
     """Split the mixed terms of p into the Gram entries (G_f, G_k).
 
     A word a'b (a, b nonempty analytic words) is G_f[a, b] and a word ab' is
     G_k[a, b]; each splits in exactly one way.  Pure words belong to F + F'.
-    The second item is the first mixed term of neither form, else None.
+    None when some mixed term is of neither form (a stray word).
     """
     gram_f: dict[tuple[Word, Word], Fraction] = {}
     gram_k: dict[tuple[Word, Word], Fraction] = {}
@@ -205,12 +185,12 @@ def _gram_entries(p: NcPoly) -> tuple[tuple[dict, dict], Optional[Word]]:
         cut = next(i for i, c in enumerate(word) if c & 1 != word[0] & 1)
         head, tail = word[:cut], word[cut:]
         if not (is_analytic_word(tail) or is_antianalytic_word(tail)):
-            return (gram_f, gram_k), word
+            return None
         if word[0] & 1:
             gram_f[(word_involution(head), tail)] = coeff
         else:
             gram_k[(head, word_involution(tail))] = coeff
-    return (gram_f, gram_k), None
+    return gram_f, gram_k
 
 
 def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdict:
@@ -219,11 +199,9 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
         raise NotSymmetric("decide_plush requires p' = p")
     _require_direction_free(p, "decide_plush")
     g = p.nvars
-    grams, stray = _gram_entries(p)
-    if stray is not None:
-        return _refute(p, Violation(
-            OBSTRUCTION, f"term {format_word(stray)} is neither analytic, "
-            "antianalytic, a'b nor ab' with analytic a, b"), policy)
+    grams = _gram_entries(p)
+    if grams is None:  # a stray word leaves a mixed border, which the screen labels
+        return _refute(p, None, policy)
 
     facs: list[Optional[LdltFactorization]] = []
     word_lists: list[tuple[Word, ...]] = []
@@ -262,7 +240,7 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
                         words_analytic=word_lists[0], words_antianalytic=word_lists[1])
 
 
-def _refute(p: NcPoly, gram_violation: Violation,
+def _refute(p: NcPoly, gram_violation: Optional[Violation],
             policy: Optional[SamplePolicy]) -> PlushVerdict:
     """Search a witness on the complex hessian of p.
 
@@ -270,9 +248,9 @@ def _refute(p: NcPoly, gram_violation: Violation,
     passes, the Gram result labels it.
     """
     q = complex_hessian(p)
-    border, middle = build_mmr(q)
+    border, _ = build_mmr(q)
     policy = policy or SamplePolicy()
-    violation = structural_screen(q, border, middle) or gram_violation
+    violation = structural_screen(q, border) or gram_violation
     witness = find_witness(q, violation, policy)
     if witness is not None:
         return PlushVerdict("not_plush", counterexample=witness)

@@ -64,6 +64,11 @@ def _int_in(lo: int, hi: Optional[int] = None):
     return convert
 
 
+def _sizes(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated matrix sizes, each in 1..MAX_MATRIX_SIZE."""
+    return tuple(map(_int_in(1, MAX_MATRIX_SIZE), filter(None, text.split(","))))
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ncplush",
                      description="noncommutative plurisubharmonicity toolkit")
@@ -82,7 +87,7 @@ def _build_parser() -> _Parser:
         if sampling or size:
             p.add_argument("--seed", type=_int_in(0), default=SamplePolicy.seed)
         if sampling:
-            p.add_argument("--sizes", default=None, metavar="N1,N2,..",
+            p.add_argument("--sizes", type=_sizes, default=None, metavar="N1,N2,..",
                            help="matrix sizes for the witness search "
                                 "(default: from the hessian degree)")
             p.add_argument("--samples", type=int, default=SamplePolicy.samples_per_size,
@@ -173,10 +178,7 @@ def _cmd_ldlt(args) -> int:
 
 
 def _policy_for(args) -> SamplePolicy:
-    sizes = None
-    if args.sizes is not None:
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-    return SamplePolicy(sizes, args.samples, args.tol, args.seed)
+    return SamplePolicy(args.sizes, args.samples, args.tol, args.seed)
 
 
 def _cmd_classify(args) -> int:

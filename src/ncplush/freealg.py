@@ -240,8 +240,6 @@ class NcPoly:
                 f"ambient mismatch: g={self.nvars} vs g={other.nvars}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NcPoly.const(self.nvars, other)
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_ambient(other)
@@ -254,25 +252,16 @@ class NcPoly:
                 out.pop(w, None)
         return NcPoly._raw(self.nvars, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return NcPoly._raw(self.nvars, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = NcPoly.const(self.nvars, other)
         if not isinstance(other, NcPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return NcPoly._raw(self.nvars, {})
             q = Fraction(other)
             return NcPoly._raw(self.nvars, {w: c * q for w, c in self.terms.items()})
         if not isinstance(other, NcPoly):
@@ -294,21 +283,12 @@ class NcPoly:
             return self * other
         return NotImplemented
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = NcPoly.const(self.nvars, other)
         if not isinstance(other, NcPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable dict inside; polynomials are not hashable
 

@@ -10,6 +10,7 @@ import pytest
 from ncplush.calculus import complex_hessian
 from ncplush.classify import (
     Decomposition,
+    Violation,
     decide_plush,
     find_witness,
     format_report,
@@ -18,7 +19,7 @@ from ncplush.classify import (
     verify_decomposition,
 )
 from ncplush.errors import AlreadyDirectional, NotSymmetric
-from ncplush.freealg import NcPoly, parse_poly
+from ncplush.freealg import NcPoly, is_antihereditary_word, is_hereditary_word, parse_poly
 from ncplush.ldlt import Obstruction, ldlt_factor
 from ncplush.mmr import block_view, build_mmr
 from ncplush.numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
@@ -30,8 +31,8 @@ P = parse_poly
 
 def screen(p_text, g=None):
     q = complex_hessian(P(p_text, g))
-    border, middle = build_mmr(q)
-    return structural_screen(q, border, middle)
+    border, _ = build_mmr(q)
+    return structural_screen(q, border)
 
 
 def test_screen_passes_simple_square():
@@ -41,13 +42,13 @@ def test_screen_passes_simple_square():
 def test_screen_flags_mixed_block():
     violation = screen("x1'*x1*x1'*x1")
     assert violation is not None and violation.kind == "mixed_block"
-    assert violation.border_word is not None
+    assert "h1*x1'*x1" in violation.detail
 
 
 def test_screen_flags_odd_degree():
     q = P("h1'*h1*x1 + x1'*h1'*h1")  # synthetic symmetric hessian of odd degree
-    border, middle = build_mmr(q)
-    violation = structural_screen(q, border, middle)
+    border, _ = build_mmr(q)
+    violation = structural_screen(q, border)
     assert violation is not None and violation.kind == "odd_degree"
 
 
@@ -111,13 +112,14 @@ def test_decide_plush_negative_weight_refuted():
 
 def test_find_witness_trivial_sign_case():
     q = P("0 - h1'*h1")
-    cex = find_witness(q, policy=SamplePolicy((1,), 10, 1e-8, 0))
-    assert cex is not None and cex.size == 1
+    cex = find_witness(q, Violation("negative_pivot", "label"), SamplePolicy((1,), 10, 1e-8, 0))
+    assert cex is not None and cex.size == 1 and cex.path == "negative_pivot"
     assert cex.eigenvalue <= -1e-8
 
 
 def test_find_witness_budget_exhaustion_is_none():
-    assert find_witness(P("h1'*h1"), policy=SamplePolicy((1, 2), 5, 1e-8, 0)) is None
+    violation = Violation("obstruction", "label")
+    assert find_witness(P("h1'*h1"), violation, SamplePolicy((1, 2), 5, 1e-8, 0)) is None
 
 
 def test_inconclusive_reported_distinctly():
@@ -253,7 +255,7 @@ def hessian_route_is_plush(p):
     nonnegative D."""
     q = complex_hessian(p)
     border, middle = build_mmr(q)
-    if structural_screen(q, border, middle) is not None:
+    if structural_screen(q, border) is not None:
         return False
     blocks = block_view(middle, border)
     for block in (blocks.q1, blocks.q5):
@@ -295,3 +297,35 @@ def test_gram_route_agrees_with_hessian_route(small_corpus):
     verdicts = [decide_plush(p, policy=one_sample).is_plush for p in inputs]
     assert verdicts == [hessian_route_is_plush(p) for p in inputs]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_mixed_border_iff_stray_word(small_corpus):
+    """On a complex hessian the mixed-border check carries the whole block
+    structure: q = complex_hessian(p) has a B or Bt border monomial exactly
+    when p has a word that is neither hereditary nor antihereditary, and
+    without one the analytic block is hereditary and the antianalytic block
+    antihereditary.  So every stray word fails the screen."""
+    rng = random.Random(5150)
+    inputs = [inst["p"] for inst in small_corpus]
+    while len(inputs) < 430:
+        r = random_poly(rng, rng.randint(1, 3), max_deg=rng.randint(2, 7))
+        if not (r + r.T).is_zero():
+            inputs.append(r + r.T)
+    counts = {True: 0, False: 0}
+    for p in inputs:
+        stray = not all(is_hereditary_word(w) or is_antihereditary_word(w)
+                        for w in p.terms)
+        counts[stray] += 1
+        q = complex_hessian(p)
+        border, middle = build_mmr(q)
+        mixed = border.family_indices("B") + border.family_indices("Bt")
+        assert bool(mixed) == stray, p
+        if not mixed:
+            blocks = block_view(middle, border)
+            assert all(is_hereditary_word(w)
+                       for row in blocks.q1 for entry in row for w in entry.terms), p
+            assert all(is_antihereditary_word(w)
+                       for row in blocks.q5 for entry in row for w in entry.terms), p
+        if stray:
+            assert structural_screen(q, border) is not None, p
+    assert counts[True] >= 100 and counts[False] >= 100, counts

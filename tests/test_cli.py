@@ -40,6 +40,15 @@ def test_classify_inconclusive_exit_three(capsys):
     assert "verdict: inconclusive" in out
 
 
+def test_classify_inconclusive_json_has_reason(capsys):
+    code, out, _ = run(capsys, "classify", "--json", "-e", "x1'*x1*x1'*x1",
+                       "--sizes", "1", "--samples", "3")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["reason"].startswith("mixed_block:")
+
+
 def test_hessian_output(capsys):
     code, out, _ = run(capsys, "hessian", "--vars", "1", "-e", "x1'*x1")
     assert code == 0
@@ -152,11 +161,13 @@ def test_deeply_nested_file_is_a_parse_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("classify", "--sizes", "0"),
+    ("classify", "--sizes", "a"),
     ("classify", "--sizes", "-2"),
     ("classify", "--sizes", f"1,{MAX_MATRIX_SIZE + 1}"),
     ("classify", "--samples", "0"),
     ("classify", "--tol", "nan"),
     ("classify", "--vars", "0"),
+    ("classify", "--vars", "abc"),
     ("classify", "--seed", "-5"),
     ("eval", "--seed", "-1"),
     ("eval", "--size", "0"),

@@ -242,6 +242,13 @@ def test_parse_errors_carry_position():
         parse_poly("")
     with pytest.raises(ParseError):
         parse_poly("x1 +")
+    for text, message in (("1/x1", "1:3: expected integer denominator"),
+                          ("(x1/2)", "1:4: expected ')'"),
+                          ("x1 + * x2", "1:6: unexpected token '*'"),
+                          ("x1 +\n  x2 $", "2:6: unexpected character '$'")):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert str(err.value) == message
     depth = MAX_PAREN_DEPTH
     assert parse_poly("(" * depth + "x1" + ")" * depth) == P("x1")
     with pytest.raises(ParseError) as err:

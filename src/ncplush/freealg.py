@@ -330,16 +330,23 @@ class MatrixTuple:
         return f"MatrixTuple(g={self.nvars}, n={self.n})"
 
 
+# Floats of prefix products one evaluate call may keep (8 MB).
+EVAL_CACHE_FLOATS = 1 << 20
+
+
 def evaluate(p: NcPoly, X: MatrixTuple, H: Optional[MatrixTuple] = None) -> np.ndarray:
     """Evaluate p by substituting X_j for x_j (and H_j for h_j).
 
     Transposed letters evaluate to the matrix transposes, so the involution
     is compatible with matrix transposition.  The unit monomial evaluates to
-    the identity.
+    the identity.  Words are multiplied out left to right; a prefix shared by
+    several words is multiplied once while the kept products fit in
+    EVAL_CACHE_FLOATS, which changes no bit of the result.
     """
     if X.nvars != p.nvars:
         raise AmbientMismatch(f"polynomial has g={p.nvars}, tuple has g={X.nvars}")
-    if p.has_directions():
+    directions = p.has_directions()
+    if directions:
         if H is None:
             raise MissingDirection("polynomial contains direction letters; H required")
         if H.nvars != p.nvars:
@@ -347,25 +354,24 @@ def evaluate(p: NcPoly, X: MatrixTuple, H: Optional[MatrixTuple] = None) -> np.n
         if H.n != X.n:
             raise SizeMismatch(f"X has size {X.n}, H has size {H.n}")
     n = X.n
-    # letter code -> matrix, built lazily per evaluation
-    table: dict[int, np.ndarray] = {}
-
-    def mat(code: int) -> np.ndarray:
-        m = table.get(code)
-        if m is None:
-            src = H if code & 2 else X
-            base = src.entries[code >> 2]
-            m = base.T if code & 1 else base
-            table[code] = m
-        return m
-
+    # letter code 4j + kind -> matrix of variable j, kinds x, x', h, h'
+    hs = H.entries if directions else (None,) * p.nvars
+    mats = [m for x, h in zip(X.entries, hs) for m in (x, x.T, h, h if h is None else h.T)]
+    prods = [np.eye(n)]  # kept prefix products; node 0 is the unit word
+    child: dict[tuple[int, int], int] = {}  # (node, letter) -> node
     out = np.zeros((n, n))
-    eye = np.eye(n)
     for word, coeff in p.terms.items():
-        acc = eye
+        node, acc = 0, prods[0]
         for c in word:
-            acc = acc @ mat(c)
-        out += float(coeff) * acc
+            key, node = (node, c), child.get((node, c), -1)
+            if node >= 0:
+                acc = prods[node]
+            else:
+                acc = acc @ mats[c]
+                if len(prods) * n * n < EVAL_CACHE_FLOATS:
+                    node = child[key] = len(prods)
+                    prods.append(acc)
+        out += coeff.numerator / coeff.denominator * acc  # float(coeff), inlined
     return out
 
 

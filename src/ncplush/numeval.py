@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NotSymmetric, WrongBidegree
-from .freealg import MatrixTuple, NcPoly, evaluate
+from .freealg import KIND_H, KIND_HT, MatrixTuple, NcPoly, evaluate
 from .mmr import MiddleMatrix
 
 # Largest matrix size a sample policy or ``ncplush eval`` may use: a tuple
@@ -67,13 +67,10 @@ def random_tuple(g: int, n: int, rng: np.random.Generator) -> MatrixTuple:
 def eval_quadratic(q: NcPoly, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
     """Evaluate a hessian-shaped quadratic (one h and one h' per term)."""
     for word in q.terms:
-        hs = sum(1 for c in word if c & 2 and not c & 1)
-        hts = sum(1 for c in word if c & 2 and c & 1)
-        if (hs, hts) != (1, 1):
+        kinds = [c & 3 for c in word]
+        if kinds.count(KIND_H) != 1 or kinds.count(KIND_HT) != 1:
             raise WrongBidegree(
                 "eval_quadratic expects bidegree (1,1) in the direction letters")
-    if q.is_zero():
-        return np.zeros((X.n, X.n))
     return evaluate(q, X, H)
 
 
@@ -84,9 +81,7 @@ def eval_middle_matrix(M: MiddleMatrix, X: MatrixTuple) -> np.ndarray:
     out = np.zeros((size * n, size * n))
     for i in range(size):
         for j in range(size):
-            entry = M.entries[i][j]
-            if not entry.is_zero():
-                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = evaluate(entry, X)
+            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = evaluate(M.entries[i][j], X)
     return out
 
 

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncplush import freealg
+from ncplush.calculus import complex_hessian
 from ncplush.errors import AmbientMismatch, MissingDirection, ParseError, SizeMismatch
 from ncplush.freealg import (
     MAX_PAREN_DEPTH,
@@ -131,6 +133,35 @@ def test_evaluate_is_multiplicative_homomorphism():
         lhs = evaluate(p * q, X)
         rhs = evaluate(p, X) @ evaluate(q, X)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _evaluate_word_by_word(p, X, H):
+    out = np.zeros((X.n, X.n))
+    for word, coeff in p.terms.items():
+        acc = np.eye(X.n)
+        for c in word:
+            m = (H if c & 2 else X).entries[c >> 2]
+            acc = acc @ (m.T if c & 1 else m)
+        out += float(coeff) * acc
+    return out
+
+
+@pytest.mark.parametrize("cache_floats", [None, 40, 1])
+def test_evaluate_shared_prefixes_change_no_bit(monkeypatch, cache_floats):
+    # kept prefix products, all (None), some (40) or none (1), give the
+    # same floats as multiplying each word out on its own
+    if cache_floats is not None:
+        monkeypatch.setattr(freealg, "EVAL_CACHE_FLOATS", cache_floats)
+    rng = random.Random(29)
+    nrng = np.random.default_rng(29)
+    for _ in range(20):
+        p = random_poly(rng, 2)
+        q = complex_hessian(p + p.T)
+        X = MatrixTuple(nrng.uniform(-1, 1, (2, 3, 3)))
+        H = MatrixTuple(nrng.uniform(-1, 1, (2, 3, 3)))
+        for poly in (p, q):
+            got, want = evaluate(poly, X, H), _evaluate_word_by_word(poly, X, H)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_identity_testing_by_sampling():

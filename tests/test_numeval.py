@@ -35,8 +35,10 @@ def test_eval_quadratic_zero_and_bidegree_check():
     X = random_tuple(1, 2, rng)
     H = random_tuple(1, 2, rng)
     assert np.array_equal(eval_quadratic(P("0"), X, H), np.zeros((2, 2)))
-    with pytest.raises(WrongBidegree):
-        eval_quadratic(P("h1*h1"), X, H)
+    for text in ("h1*h1", "h1'*h1'", "h1*x1*h1'*h1'", "x1*h1'", "h1'*x1*h1 + x1"):
+        with pytest.raises(WrongBidegree):
+            eval_quadratic(P(text), X, H)
+    assert eval_quadratic(P("h1'*x1*h1 + h1*x1'*h1'"), X, H).shape == (2, 2)
 
 
 def test_eval_quadratic_negative_case():

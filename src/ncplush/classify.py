@@ -15,13 +15,14 @@
 * reports inconclusive when a refutation is mathematically forced but the
   sampling budget found no witness (never silently labelled a refutation).
 
-The certificate route reads the Gram matrices of p: every mixed word of a
-plush p is a'b or ab' with nonempty analytic a, b, so the coefficients of p
-fill in two unique constant matrices G_f and G_k, and an exact LDL' of each
-with nonnegative D is the certificate.  Any other outcome is refuted on the
-complex hessian, whose structural screen (even degree, no mixed border
-strata, border degree bound) labels the refutation before a seeded random
-search for the witness.
+The decision reads only the words of p.  A structural screen first checks
+the necessary conditions on the complex hessian q that the words of p fix
+(even degree, no mixed border monomial, border degree bound).  Then every
+mixed word of p is a'b or ab' with nonempty analytic a, b, so the
+coefficients of p fill in two unique constant Gram matrices G_f and G_k,
+and an exact LDL' of each with nonnegative D is the certificate.  Any
+failure is labelled by the check that failed; only then is q built, for a
+seeded random search for the witness.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ from .freealg import (
     format_word,
     is_analytic_word,
     is_antianalytic_word,
+    is_antihereditary_word,
+    is_hereditary_word,
     word_involution,
     word_key,
 )
 from .ldlt import LdltFactorization, Obstruction, ldlt_factor
-from .mmr import BorderVector, build_mmr, check_degree_bound
 from .numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
 # unused here; the benchmark's traced run wraps these names on this module
-from .mmr import block_view  # noqa: F401
+from .mmr import block_view, build_mmr  # noqa: F401
 from .wed import antiderivative, is_directional_derivative  # noqa: F401
 
 # refutation paths
@@ -124,29 +126,39 @@ class PlushVerdict:
         return format_report(self)
 
 
-def structural_screen(q: NcPoly, border: BorderVector) -> Optional[Violation]:
-    """Check the necessary conditions for positivity of a complex hessian.
+def _cut(word: Word) -> int:
+    """Length of the leading run of letters of one kind in a mixed word."""
+    return [c & 1 for c in word].index(1 - (word[0] & 1))
 
-    Returns None on pass; any violation soundly implies the polynomial is
-    not plush on any nc open set (a numeric witness is still searched for).
-    The block structure needs no check of its own: in a non-hereditary
-    analytic-block entry of a complex hessian, some x precedes some y', and
-    the term of q that marks that x as h has y' in a mixed border monomial
-    (likewise for the antianalytic block).
+
+def structural_screen(p: NcPoly) -> Optional[Violation]:
+    """Check, on the words of p, necessary conditions for positivity of its
+    complex hessian q.
+
+    Returns None on pass; any violation soundly implies p is not plush on
+    any nc open set (a numeric witness is still searched for).  The words
+    of p fix what the checks read off q:
+
+    * each mixed word w of p gives terms of q of length |w|, and no two of
+      these terms cancel, so deg q is the largest mixed-word length;
+    * q has a mixed border monomial exactly when some w is neither
+      hereditary nor antihereditary;
+    * otherwise w changes letter kind once, after c = _cut(w) letters, and
+      its border monomials reach degree max(c, |w| - c).
     """
-    degree = q.degree()
+    mixed = [w for w in p.terms if not (is_analytic_word(w) or is_antianalytic_word(w))]
+    degree = max(map(len, mixed), default=0)
     if degree % 2 == 1:
         return Violation(ODD_DEGREE, f"hessian degree {degree} is odd")
-    mixed = border.family_indices("B") + border.family_indices("Bt")
-    if mixed:
+    stray = [w for w in mixed if not (is_hereditary_word(w) or is_antihereditary_word(w))]
+    if stray:
         return Violation(
             MIXED_BLOCK,
-            f"mixed border monomial {format_word(border.entries[min(mixed)])} "
-            "forces a nonzero coupling outside the analytic/antianalytic blocks")
-    if not check_degree_bound(border, degree):
-        return Violation(
-            DEGREE_BOUND,
-            f"border degree {border.max_degree()} exceeds {degree // 2}")
+            f"word {format_word(min(stray, key=word_key))} is neither hereditary nor "
+            "antihereditary, so the hessian has a mixed border monomial")
+    border = max((max(_cut(w), len(w) - _cut(w)) for w in mixed), default=0)
+    if border > degree // 2:
+        return Violation(DEGREE_BOUND, f"border degree {border} exceeds {degree // 2}")
     return None
 
 
@@ -170,22 +182,20 @@ def find_witness(q: NcPoly, violation: Violation,
     return None
 
 
-def _gram_entries(p: NcPoly) -> Optional[tuple[dict, dict]]:
+def _gram_entries(p: NcPoly) -> tuple[dict, dict]:
     """Split the mixed terms of p into the Gram entries (G_f, G_k).
 
     A word a'b (a, b nonempty analytic words) is G_f[a, b] and a word ab' is
     G_k[a, b]; each splits in exactly one way.  Pure words belong to F + F'.
-    None when some mixed term is of neither form (a stray word).
+    p must pass the structural screen, so every mixed word is of one form.
     """
     gram_f: dict[tuple[Word, Word], Fraction] = {}
     gram_k: dict[tuple[Word, Word], Fraction] = {}
-    for word, coeff in p.sorted_terms():
+    for word, coeff in p.terms.items():
         if is_analytic_word(word) or is_antianalytic_word(word):
             continue
-        cut = next(i for i, c in enumerate(word) if c & 1 != word[0] & 1)
+        cut = _cut(word)
         head, tail = word[:cut], word[cut:]
-        if not (is_analytic_word(tail) or is_antianalytic_word(tail)):
-            return None
         if word[0] & 1:
             gram_f[(word_involution(head), tail)] = coeff
         else:
@@ -198,10 +208,11 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
     if not p.is_symmetric():
         raise NotSymmetric("decide_plush requires p' = p")
     _require_direction_free(p, "decide_plush")
+    violation = structural_screen(p)
+    if violation is not None:
+        return _refute(p, violation, policy)
     g = p.nvars
     grams = _gram_entries(p)
-    if grams is None:  # a stray word leaves a mixed border, which the screen labels
-        return _refute(p, None, policy)
 
     facs: list[Optional[LdltFactorization]] = []
     word_lists: list[tuple[Word, ...]] = []
@@ -240,17 +251,11 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
                         words_analytic=word_lists[0], words_antianalytic=word_lists[1])
 
 
-def _refute(p: NcPoly, gram_violation: Optional[Violation],
+def _refute(p: NcPoly, violation: Violation,
             policy: Optional[SamplePolicy]) -> PlushVerdict:
-    """Search a witness on the complex hessian of p.
-
-    A failed structural screen labels the refutation; when the screen
-    passes, the Gram result labels it.
-    """
+    """Search a witness on the complex hessian of p; the violation labels it."""
     q = complex_hessian(p)
-    border, _ = build_mmr(q)
     policy = policy or SamplePolicy()
-    violation = structural_screen(q, border) or gram_violation
     witness = find_witness(q, violation, policy)
     if witness is not None:
         return PlushVerdict("not_plush", counterexample=witness)

@@ -17,6 +17,7 @@ Polynomials come inline (``-e``) or from a file (``-f``) in the text grammar
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -69,6 +70,7 @@ def _sizes(text: str) -> tuple[int, ...]:
     return tuple(map(_int_in(1, MAX_MATRIX_SIZE), filter(None, text.split(","))))
 
 
+@functools.cache  # built on first use, so importing the module stays cheap
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ncplush",
                      description="noncommutative plurisubharmonicity toolkit")

@@ -47,10 +47,6 @@ class UnsplittableMonomial(NcError):
     kept as a guard against internal corruption."""
 
 
-class MissingStrata(NcError):
-    """A border vector without stratum tags was passed where tags are required."""
-
-
 class NotSymmetric(NcError):
     """A symmetric polynomial or matrix was required."""
 

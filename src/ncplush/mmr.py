@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import (
-    MissingStrata,
     NotQuadraticInDirections,
     NotSymmetric,
     UnsplittableMonomial,
@@ -78,7 +77,7 @@ class BorderVector:
 
     nvars: int
     entries: tuple[Word, ...]
-    strata: Optional[tuple[StratumTag, ...]] = None
+    strata: tuple[StratumTag, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -87,17 +86,11 @@ class BorderVector:
         return max((len(w) for w in self.entries), default=0)
 
     def family_indices(self, family: str) -> list[int]:
-        if self.strata is None:
-            raise MissingStrata("border vector carries no stratum tags")
         return [i for i, tag in enumerate(self.strata) if tag.family == family]
 
     def dump(self) -> str:
-        lines = []
-        for i, word in enumerate(self.entries):
-            tag = self.strata[i] if self.strata else None
-            suffix = f"    [{tag.family}_{tag.k}]" if tag else ""
-            lines.append(f"{format_word(word)}{suffix}")
-        return "\n".join(lines)
+        return "\n".join(f"{format_word(word)}    [{tag.family}_{tag.k}]"
+                         for word, tag in zip(self.entries, self.strata))
 
 
 @dataclass(frozen=True)

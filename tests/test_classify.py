@@ -21,7 +21,7 @@ from ncplush.classify import (
 from ncplush.errors import AlreadyDirectional, NotSymmetric
 from ncplush.freealg import NcPoly, is_antihereditary_word, is_hereditary_word, parse_poly
 from ncplush.ldlt import Obstruction, ldlt_factor
-from ncplush.mmr import block_view, build_mmr
+from ncplush.mmr import block_view, build_mmr, check_degree_bound
 from ncplush.numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
 
 from conftest import COEFF_POOL, plush_instance, random_analytic, random_poly, random_word
@@ -30,9 +30,22 @@ P = parse_poly
 
 
 def screen(p_text, g=None):
-    q = complex_hessian(P(p_text, g))
+    return structural_screen(P(p_text, g))
+
+
+def hessian_screen(q):
+    """Reference screen read off the complex hessian q itself: its degree,
+    the mixed families of its border vector and the border degree bound."""
     border, _ = build_mmr(q)
-    return structural_screen(q, border)
+    degree = q.degree()
+    if degree % 2 == 1:
+        return Violation("odd_degree", f"hessian degree {degree} is odd")
+    if border.family_indices("B") + border.family_indices("Bt"):
+        return Violation("mixed_block", "mixed border monomial")
+    if not check_degree_bound(border, degree):
+        return Violation("degree_bound",
+                         f"border degree {border.max_degree()} exceeds {degree // 2}")
+    return None
 
 
 def test_screen_passes_simple_square():
@@ -42,13 +55,11 @@ def test_screen_passes_simple_square():
 def test_screen_flags_mixed_block():
     violation = screen("x1'*x1*x1'*x1")
     assert violation is not None and violation.kind == "mixed_block"
-    assert "h1*x1'*x1" in violation.detail
+    assert "x1'*x1*x1'*x1" in violation.detail
 
 
 def test_screen_flags_odd_degree():
-    q = P("h1'*h1*x1 + x1'*h1'*h1")  # synthetic symmetric hessian of odd degree
-    border, _ = build_mmr(q)
-    violation = structural_screen(q, border)
+    violation = screen("x1'*x1*x1 + x1'*x1'*x1")
     assert violation is not None and violation.kind == "odd_degree"
 
 
@@ -254,9 +265,9 @@ def hessian_route_is_plush(p):
     passes and both diagonal middle-matrix blocks factor with constant
     nonnegative D."""
     q = complex_hessian(p)
-    border, middle = build_mmr(q)
-    if structural_screen(q, border) is not None:
+    if hessian_screen(q) is not None:
         return False
+    border, middle = build_mmr(q)
     blocks = block_view(middle, border)
     for block in (blocks.q1, blocks.q5):
         if not block:
@@ -304,7 +315,8 @@ def test_mixed_border_iff_stray_word(small_corpus):
     structure: q = complex_hessian(p) has a B or Bt border monomial exactly
     when p has a word that is neither hereditary nor antihereditary, and
     without one the analytic block is hereditary and the antianalytic block
-    antihereditary.  So every stray word fails the screen."""
+    antihereditary.  So every stray word fails the screen, and the screen
+    on the words of p agrees with the one read off q."""
     rng = random.Random(5150)
     inputs = [inst["p"] for inst in small_corpus]
     while len(inputs) < 430:
@@ -326,6 +338,12 @@ def test_mixed_border_iff_stray_word(small_corpus):
                        for row in blocks.q1 for entry in row for w in entry.terms), p
             assert all(is_antihereditary_word(w)
                        for row in blocks.q5 for entry in row for w in entry.terms), p
+        from_words, from_q = structural_screen(p), hessian_screen(q)
+        assert (from_words is None) == (from_q is None), p
+        if from_q is not None:
+            assert from_words.kind == from_q.kind, p
+            if from_q.kind != "mixed_block":
+                assert from_words.detail == from_q.detail, p
         if stray:
-            assert structural_screen(q, border) is not None, p
+            assert from_words is not None, p
     assert counts[True] >= 100 and counts[False] >= 100, counts

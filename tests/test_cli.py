@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +113,21 @@ def test_determinism_byte_identical(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_shared_parser_keeps_no_flags_between_calls(capsys):
+    """The parser is built once per process; a call's flags must not leak
+    into the next call, which prints what it prints in a fresh process."""
+    run(capsys, "classify", "--json", "--sizes", "1", "--samples", "3",
+        "-e", "x1'*x1*x1'*x1")
+    argv = ("classify", "--json", "-e", "x1'*x1*x1'*x1")
+    code, out, _ = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(sys.modules[main.__module__].__file__))
+    alone = subprocess.run([sys.executable, "-m", "ncplush.cli", *argv],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert (code, out) == (alone.returncode, alone.stdout)
+    assert json.loads(out)["verdict"] == "not_plush"
 
 
 def test_json_roundtrip_through_cli(capsys):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ncplush.calculus import complex_hessian
-from ncplush.errors import MissingStrata, NotQuadraticInDirections, NotSymmetric
+from ncplush.errors import NotQuadraticInDirections, NotSymmetric
 from ncplush.freealg import NcPoly, parse_poly
 from ncplush.mmr import (
     BorderVector,
@@ -71,13 +71,6 @@ def test_block_view_examples():
     assert mixed.q8 == [[NcPoly.const(1, 1)]]
 
 
-def test_block_view_needs_strata():
-    border, middle = build_mmr(P("h1'*h1"))
-    untagged = BorderVector(border.nvars, border.entries, None)
-    with pytest.raises(MissingStrata):
-        block_view(middle, untagged)
-
-
 def test_degree_bound_examples():
     border, _ = build_mmr(complex_hessian(P("x1'*x1")))
     assert check_degree_bound(border, 2)
@@ -87,7 +80,8 @@ def test_degree_bound_examples():
     assert check_degree_bound(border4, 4)
     assert border4.max_degree() == 2
 
-    synthetic = BorderVector(1, (single_word("h1*x1*x1"),))
+    word = single_word("h1*x1*x1")
+    synthetic = BorderVector(1, (word,), (stratum_of(word),))
     assert not check_degree_bound(synthetic, 4)
 
 

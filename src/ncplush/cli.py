@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import complex_hessian, full_derivative
-from .classify import decide_plush, verdict_to_dict
+from .classify import _format_float, _matrix_lines, decide_plush, verdict_to_dict
 from .errors import NcError
 from .freealg import (
     MAX_VARIABLE_INDEX,
@@ -123,14 +123,6 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _matrix_rows(mat: np.ndarray) -> list[str]:
-    return [" ".join(_fmt(v) for v in row) for row in mat]
-
-
 def _cmd_poly_transform(args, op) -> int:
     result = op(_load_poly(args))
     if args.json:
@@ -207,14 +199,10 @@ def _cmd_eval(args) -> int:
             payload["H"] = [m.tolist() for m in H.entries]
         _emit_json(payload)
     else:
-        for j, mat in enumerate(X.entries, start=1):
-            print(f"X{j} = [{'; '.join(_matrix_rows(mat))}]")
-        if H is not None:
-            for j, mat in enumerate(H.entries, start=1):
-                print(f"H{j} = [{'; '.join(_matrix_rows(mat))}]")
-        print("result:")
-        for row in _matrix_rows(value):
-            print(row)
+        lines = _matrix_lines("X", X) + (_matrix_lines("H", H) if H is not None else [])
+        print("\n".join(lines + ["result:"]))
+        for row in value:
+            print(" ".join(_format_float(v) for v in row))
     return 0
 
 

@@ -21,13 +21,16 @@ only when evaluating on matrix tuples.
 The text grammar (used by :func:`parse_poly` and :func:`format_poly`):
 variables ``x1..xg``/``h1..hg``, postfix ``'`` for transpose, juxtaposition
 or ``*`` for products, ``+ - ( )``, and rational literals ``p/q``.
-Example: ``x1'*x1 + 2*x2*x2' - 1/3``.
+Example: ``x1'*x1 + 2*x2*x2' - 1/3``.  One regular expression cuts the text
+into tokens at their offsets; a recursive descent adds the terms of a sum
+into one dict, so parsing is linear; a :class:`ParseError` names line:column.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -399,10 +402,6 @@ def direct_sum(tuples: Sequence[MatrixTuple]) -> MatrixTuple:
 # Printing
 # ---------------------------------------------------------------------------
 
-def format_coeff(q: Fraction) -> str:
-    return str(q)  # Fraction prints p/q or p
-
-
 def format_poly(p: NcPoly) -> str:
     """Deterministic text form: terms in descending graded-lex order."""
     if not p.terms:
@@ -412,11 +411,11 @@ def format_poly(p: NcPoly) -> str:
         sign = "-" if coeff < 0 else "+"
         mag = -coeff if coeff < 0 else coeff
         if not word:
-            body = format_coeff(mag)
+            body = str(mag)  # Fraction prints p/q or p
         elif mag == 1:
             body = format_word(word)
         else:
-            body = f"{format_coeff(mag)}*{format_word(word)}"
+            body = f"{mag}*{format_word(word)}"
         pieces.append((sign, body))
     first_sign, first_body = pieces[0]
     out = ("-" if first_sign == "-" else "") + first_body
@@ -429,160 +428,132 @@ def format_poly(p: NcPoly) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-class _Token(NamedTuple):
-    kind: str  # "int", "var", "op"
-    text: str
-    line: int
-    col: int
+# Whitespace (space, tab, CR, LF) and then one token: an integer, a variable
+# letter with its index digits, an operator, or any other character, which is
+# an error.  \d takes no '²', which str.isdigit takes and int() cannot read.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<int>\d+)|(?P<var>[xh]\d*)|(?P<op>[-+*/()'])"
+                    r"|(?P<bad>[^ \t\r\n]))")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "xh":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"variable '{ch}' needs an index", line, start_col)
-            toks.append(_Token("var", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/()'":
-            toks.append(_Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Tokens ``(kind, text, offset)``; kind is int, var, the operator
+    character itself, or end, which closes the list just past the last token."""
+    toks, end = [], 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok, at, end = m[kind], m.start(kind), m.end()
+        if kind == "bad":
+            raise _error(text, at, f"unexpected character {tok!r}")
+        if tok in ("x", "h"):
+            raise _error(text, at, f"variable {tok!r} needs an index")
+        toks.append((tok if kind == "op" else kind, tok, at))
+    toks.append(("end", "", end))
     return toks
 
 
+def _index(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() reads: beyond every cap
+        return MAX_VARIABLE_INDEX + 1
+
+
 class _Parser:
-    def __init__(self, toks: list[_Token], nvars: Optional[int]):
-        self.toks = toks
-        self.pos = 0
-        self.declared = nvars
-        self.depth = 0
+    def __init__(self, text: str, toks: list, g: int, declared: Optional[int]):
+        self.text, self.toks, self.g, self.declared = text, toks, g, declared
+        self.pos = self.depth = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def error(self, tok: tuple[str, str, int], message: str) -> ParseError:
+        return _error(self.text, tok[2], message)
 
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1] if self.toks else _Token("op", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.toks[self.pos]
+        if tok[0] == "end":
+            raise self.error(tok, "unexpected end of input")
         self.pos += 1
         return tok
 
-    def expr(self, g: int) -> NcPoly:
-        negate = False
-        tok = self.peek()
-        if tok and tok.kind == "op" and tok.text in "+-":
-            self.take()
-            negate = tok.text == "-"
-        acc = self.term(g)
-        if negate:
-            acc = -acc
+    def expr(self) -> NcPoly:
+        # one running sum; a word whose sum is zero leaves it and one that
+        # comes back goes last, as when adding the terms one by one
+        out: dict[Word, Fraction] = {}
+        negate = self.peek() in ("+", "-") and self.take()[0] == "-"
         while True:
-            tok = self.peek()
-            if tok and tok.kind == "op" and tok.text in "+-":
-                self.take()
-                rhs = self.term(g)
-                acc = acc - rhs if tok.text == "-" else acc + rhs
-            else:
-                return acc
+            for w, c in self.term().terms.items():
+                s = out[w] = out.get(w, 0) + (-c if negate else c)
+                if not s:
+                    del out[w]
+            if self.peek() not in ("+", "-"):
+                return NcPoly._raw(self.g, out)
+            negate = self.take()[0] == "-"
 
-    def term(self, g: int) -> NcPoly:
-        acc = self.factor(g)
+    def term(self) -> NcPoly:
+        acc = self.factor()
         while True:
-            tok = self.peek()
-            if tok and tok.kind == "op" and tok.text == "*":
+            kind = self.peek()
+            if kind == "*":
                 self.take()
-            elif not (tok and (tok.kind in ("int", "var")
-                               or (tok.kind == "op" and tok.text == "("))):
+            elif kind not in ("int", "var", "("):
                 return acc  # neither '*' nor juxtaposition
-            start = self.pos
-            factor = self.factor(g)
+            start = self.toks[self.pos]
+            factor = self.factor()
             if len(acc.terms) * len(factor.terms) > MAX_TERMS:
-                at = self.toks[start]
-                raise ParseError(f"product exceeds the limit of {MAX_TERMS} terms",
-                                 at.line, at.col)
+                raise self.error(start, f"product exceeds the limit of {MAX_TERMS} terms")
             acc = acc * factor
 
-    def factor(self, g: int) -> NcPoly:
-        tok = self.take()
-        if tok.kind == "int":
-            num = int(tok.text)
-            nxt = self.peek()
-            if nxt and nxt.kind == "op" and nxt.text == "/":
+    def integer(self, tok: tuple[str, str, int]) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self.error(tok, "integer literal is too long") from None
+
+    def factor(self) -> NcPoly:
+        tok = kind, text, _ = self.take()
+        if kind == "int":
+            num, den = self.integer(tok), 1
+            if self.peek() == "/":
                 self.take()
                 den_tok = self.take()
-                if den_tok.kind != "int":
-                    raise ParseError("expected integer denominator",
-                                     den_tok.line, den_tok.col)
-                den = int(den_tok.text)
+                if den_tok[0] != "int":
+                    raise self.error(den_tok, "expected integer denominator")
+                den = self.integer(den_tok)
                 if den == 0:
-                    raise ParseError("zero denominator", den_tok.line, den_tok.col)
-                value = Fraction(num, den)
-            else:
-                value = Fraction(num)
-            poly = NcPoly.const(g, value)
-        elif tok.kind == "var":
-            index = int(tok.text[1:])
+                    raise self.error(den_tok, "zero denominator")
+            poly = NcPoly.const(self.g, Fraction(num, den))
+        elif kind == "var":
+            index = _index(text[1:])
             if index < 1:
-                raise ParseError("variable index must be >= 1", tok.line, tok.col)
+                raise self.error(tok, "variable index must be >= 1")
             if self.declared is not None and index > self.declared:
-                raise ParseError(
-                    f"variable {tok.text} exceeds declared g={self.declared}",
-                    tok.line, tok.col)
+                raise self.error(tok, f"variable {text} exceeds declared g={self.declared}")
             if index > MAX_VARIABLE_INDEX:
-                raise ParseError(
-                    f"variable {tok.text} exceeds the limit of "
-                    f"{MAX_VARIABLE_INDEX} variables", tok.line, tok.col)
-            code = (lh(index) if tok.text[0] == "h" else lx(index))
-            poly = NcPoly._raw(g, {(code,): Fraction(1)})
-        elif tok.kind == "op" and tok.text == "(":
+                raise self.error(tok, f"variable {text} exceeds the limit of "
+                                      f"{MAX_VARIABLE_INDEX} variables")
+            code = (lh(index) if text[0] == "h" else lx(index))
+            poly = NcPoly._raw(self.g, {(code,): Fraction(1)})
+        elif kind == "(":
             self.depth += 1
             if self.depth > MAX_PAREN_DEPTH:
-                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}",
-                                 tok.line, tok.col)
-            poly = self.expr(g)
+                raise self.error(tok, f"parentheses nested deeper than {MAX_PAREN_DEPTH}")
+            poly = self.expr()
             close = self.take()
-            if not (close.kind == "op" and close.text == ")"):
-                raise ParseError("expected ')'", close.line, close.col)
+            if close[0] != ")":
+                raise self.error(close, "expected ')'")
             self.depth -= 1
         else:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
-        while True:
-            nxt = self.peek()
-            if nxt and nxt.kind == "op" and nxt.text == "'":
-                self.take()
-                poly = poly.transpose()
-            else:
-                return poly
+            raise self.error(tok, f"unexpected token {text!r}")
+        while self.peek() == "'":
+            self.take()
+            poly = poly.transpose()
+        return poly
 
 
 def parse_poly(text: str, nvars: Optional[int] = None) -> NcPoly:
@@ -592,19 +563,17 @@ def parse_poly(text: str, nvars: Optional[int] = None) -> NcPoly:
     the ambient count is inferred as the largest index seen (at least 1).
     Either way g is capped at ``MAX_VARIABLE_INDEX``, parentheses at
     ``MAX_PAREN_DEPTH`` levels, and each product at ``MAX_TERMS`` pairs of
-    terms.
+    terms.  Parsing takes time linear in the length of ``text``.
     """
     if nvars is not None and not 1 <= nvars <= MAX_VARIABLE_INDEX:
         raise ParseError(f"declared g={nvars} is outside 1..{MAX_VARIABLE_INDEX}", 1, 1)
     toks = _tokenize(text)
-    if not toks:
+    if toks[0][0] == "end":
         raise ParseError("empty input", 1, 1)
-    seen = max((int(t.text[1:]) for t in toks if t.kind == "var"), default=1)
-    g = nvars if nvars is not None else max(seen, 1)
-    parser = _Parser(toks, nvars)
-    poly = parser.expr(g)
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"unexpected token {trailing.text!r}",
-                         trailing.line, trailing.col)
+    g = nvars or max([1] + [_index(tok[1][1:]) for tok in toks if tok[0] == "var"])
+    parser = _Parser(text, toks, g, nvars)
+    poly = parser.expr()
+    trailing = parser.toks[parser.pos]
+    if trailing[0] != "end":
+        raise parser.error(trailing, f"unexpected token {trailing[1]!r}")
     return poly

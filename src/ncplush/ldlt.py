@@ -169,10 +169,8 @@ def ldlt_factor(matrix: Union[MiddleMatrix, Sequence[Sequence[NcPoly]]]
         inv = Fraction(1) / value
         col = {r: work[(r, pivot)] for r in remaining
                if not work[(r, pivot)].is_zero()}
-        for r, entry in col.items():
-            below[(r, pivot)] = entry * inv
         for i, wi in col.items():
-            scaled = wi * inv
+            scaled = below[(i, pivot)] = wi * inv
             for j in remaining:
                 wj = work[(pivot, j)]
                 if not wj.is_zero():

@@ -1,5 +1,6 @@
 """Free-algebra core: arithmetic, involution, evaluation, grammar."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -276,7 +277,20 @@ def test_parse_errors_carry_position():
     for text, message in (("1/x1", "1:3: expected integer denominator"),
                           ("(x1/2)", "1:4: expected ')'"),
                           ("x1 + * x2", "1:6: unexpected token '*'"),
-                          ("x1 +\n  x2 $", "2:6: unexpected character '$'")):
+                          ("x1 +\n  x2 $", "2:6: unexpected character '$'"),
+                          ("x1 +", "1:5: unexpected end of input"),
+                          ("(x1", "1:4: unexpected end of input"),
+                          ("x1 x2 \n (x1", "2:5: unexpected end of input"),
+                          ("\tx", "1:2: variable 'x' needs an index"),
+                          ("x1\r\n$", "2:1: unexpected character '$'"),
+                          ("x1 \f", "1:4: unexpected character '\\x0c'"),
+                          ("   ", "1:1: empty input"),
+                          # int() reads at most sys.get_int_max_str_digits()
+                          # digits, and no '²', which str.isdigit() accepts
+                          ("1" * 5000 + "*x1", "1:1: integer literal is too long"),
+                          ("x" + "1" * 5000, f"1:1: variable x{'1' * 5000} exceeds the "
+                                             f"limit of {MAX_VARIABLE_INDEX} variables"),
+                          ("x1 + ²", "1:6: unexpected character '²'")):
         with pytest.raises(ParseError) as err:
             parse_poly(text)
         assert str(err.value) == message
@@ -298,6 +312,24 @@ def test_parse_caps_variable_index():
     for g in (0, cap + 1, 100000000):
         with pytest.raises(ParseError):
             parse_poly("x1", g)
+
+
+def test_parse_builds_linear_size(monkeypatch):
+    # a sum of 2,000 distinct words; copying the running sum for every '+'
+    # would build about 2000**2 / 2 dict entries
+    letters = ["x1", "x2", "x3", "x1'", "x2'", "x3'"]
+    words = itertools.islice(itertools.product(letters, repeat=5), 2000)
+    text = " + ".join("*".join(word) for word in words)
+    built = []
+    raw = NcPoly._raw.__func__
+
+    def counting_raw(cls, nvars, terms):
+        built.append(len(terms))
+        return raw(cls, nvars, terms)
+
+    monkeypatch.setattr(NcPoly, "_raw", classmethod(counting_raw))
+    assert len(parse_poly(text).terms) == 2000
+    assert sum(built) <= 2 * len(text)
 
 
 def test_parse_caps_term_count():

@@ -10,26 +10,30 @@
   checked exactly; or
 
 * refutes it with a concrete matrix-tuple counterexample on which the
-  complex hessian has a verified negative eigenvalue; or
+  complex hessian has a negative eigenvalue; or
 
 * reports inconclusive when a refutation is mathematically forced but the
   sampling budget found no witness (never silently labelled a refutation).
 
-The decision reads only the words of p.  A structural screen first checks
-the necessary conditions on the complex hessian q that the words of p fix
-(even degree, no mixed border monomial, border degree bound).  Then every
-mixed word of p is a'b or ab' with nonempty analytic a, b, so the
-coefficients of p fill in two unique constant Gram matrices G_f and G_k,
-and an exact LDL' of each with nonnegative D is the certificate.  Any
-failure is labelled by the check that failed; only then is q built, for a
-seeded random search for the witness.
+The decision reads only the words of p.  A structural screen first looks
+for a stray word, a mixed word that is neither hereditary nor
+antihereditary; the complex hessian q of such a p has a mixed border
+monomial, so p is not plush, and a seeded random search on q looks for the
+witness.  Otherwise every mixed word of p is a'b or ab' with nonempty
+analytic a, b, so the coefficients of p fill in two unique constant Gram
+matrices G_f and G_k, and an exact LDL' of each with nonnegative D is the
+certificate.  When an LDL' has a negative pivot or an obstruction, its
+negative direction c (c'Gc < 0) gives a witness directly (see
+``witness.gram_witness``), and u'q(X, H)u < 0 is replayed exactly in
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
+
 
 from .calculus import _require_direction_free, complex_hessian
 from .errors import InternalInconsistency, NotSymmetric
@@ -46,7 +50,14 @@ from .freealg import (
     word_key,
 )
 from .ldlt import LdltFactorization, Obstruction, ldlt_factor
-from .numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
+from .numeval import (
+    MAX_MATRIX_SIZE,
+    SamplePolicy,
+    check_bidegree,
+    quadratic_min_eigenvalue,
+    random_tuple,
+)
+from .witness import float_tuple, gram_witness, negative_direction, replay_at_e0
 # unused here; the benchmark's traced run wraps these names on this module
 from .mmr import block_view, build_mmr  # noqa: F401
 from .wed import antiderivative, is_directional_derivative  # noqa: F401
@@ -54,14 +65,13 @@ from .wed import antiderivative, is_directional_derivative  # noqa: F401
 # refutation paths
 MIXED_BLOCK = "mixed_block"
 ODD_DEGREE = "odd_degree"
-DEGREE_BOUND = "degree_bound"
 OBSTRUCTION = "obstruction"
 NEGATIVE_PIVOT = "negative_pivot"
 
 
 @dataclass(frozen=True)
 class Violation:
-    """A failed structural necessary condition (sound refutation signal)."""
+    """A failed necessary condition (sound refutation signal)."""
 
     kind: str
     detail: str
@@ -69,12 +79,19 @@ class Violation:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """Matrix tuples on which the hessian evaluation is indefinite."""
+    """Matrix tuples on which the hessian evaluation is indefinite.
+
+    ``exact_value`` is e0' q(X, H) e0 for the first basis vector e0,
+    computed in rationals from the float entries of X and H, when the
+    witness was constructed from a Gram LDL'; it is None for a searched
+    witness, which rests on the float ``eigenvalue`` alone.
+    """
 
     X: MatrixTuple
     H: MatrixTuple
     eigenvalue: float
     path: str
+    exact_value: Optional[Fraction] = None
 
     @property
     def size(self) -> int:
@@ -103,7 +120,9 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class PlushVerdict:
-    """Outcome of the decision: exactly one arm is populated."""
+    """Outcome of the decision: exactly one arm is populated, plus a reason
+    when the verdict is inconclusive or its witness had to be searched for
+    instead of constructed."""
 
     kind: str  # "plush" | "not_plush" | "inconclusive"
     decomposition: Optional[Decomposition] = None
@@ -132,34 +151,27 @@ def _cut(word: Word) -> int:
 
 
 def structural_screen(p: NcPoly) -> Optional[Violation]:
-    """Check, on the words of p, necessary conditions for positivity of its
-    complex hessian q.
+    """Look for a stray word in p: a mixed word that is neither hereditary
+    nor antihereditary.
 
-    Returns None on pass; any violation soundly implies p is not plush on
-    any nc open set (a numeric witness is still searched for).  The words
-    of p fix what the checks read off q:
-
-    * each mixed word w of p gives terms of q of length |w|, and no two of
-      these terms cancel, so deg q is the largest mixed-word length;
-    * q has a mixed border monomial exactly when some w is neither
-      hereditary nor antihereditary;
-    * otherwise w changes letter kind once, after c = _cut(w) letters, and
-      its border monomials reach degree max(c, |w| - c).
+    Returns None when there is none.  A stray word gives the complex
+    hessian q a mixed border monomial, so p is not plush on any nc open
+    set.  The label is the parity of deg q, the largest mixed-word length
+    of p (the terms of q that one mixed word gives cannot cancel):
+    ``odd_degree`` when it is odd, else ``mixed_block``.  Every other
+    necessary condition is read off the Gram LDL' of p.
     """
-    mixed = [w for w in p.terms if not (is_analytic_word(w) or is_antianalytic_word(w))]
-    degree = max(map(len, mixed), default=0)
+    stray = [w for w in p.terms if not (is_hereditary_word(w) or is_antihereditary_word(w))]
+    if not stray:
+        return None
+    degree = max(len(w) for w in p.terms
+                 if not (is_analytic_word(w) or is_antianalytic_word(w)))
     if degree % 2 == 1:
         return Violation(ODD_DEGREE, f"hessian degree {degree} is odd")
-    stray = [w for w in mixed if not (is_hereditary_word(w) or is_antihereditary_word(w))]
-    if stray:
-        return Violation(
-            MIXED_BLOCK,
-            f"word {format_word(min(stray, key=word_key))} is neither hereditary nor "
-            "antihereditary, so the hessian has a mixed border monomial")
-    border = max((max(_cut(w), len(w) - _cut(w)) for w in mixed), default=0)
-    if border > degree // 2:
-        return Violation(DEGREE_BOUND, f"border degree {border} exceeds {degree // 2}")
-    return None
+    return Violation(
+        MIXED_BLOCK,
+        f"word {format_word(min(stray, key=word_key))} is neither hereditary nor "
+        "antihereditary, so the hessian has a mixed border monomial")
 
 
 def find_witness(q: NcPoly, violation: Violation,
@@ -171,12 +183,13 @@ def find_witness(q: NcPoly, violation: Violation,
     exhausted (the caller reports inconclusive).
     """
     policy = policy or SamplePolicy()
+    check_bidegree(q)
     rng = policy.rng()
     g = q.nvars
     for n in policy.sizes_for(q.degree()):
         for _ in range(policy.samples_per_size):
             X, H = random_tuple(g, n, rng), random_tuple(g, n, rng)
-            value = quadratic_min_eigenvalue(q, X, H)
+            value = quadratic_min_eigenvalue(q, X, H, check=False)
             if value <= -policy.tol:
                 return Counterexample(X, H, value, violation.kind)
     return None
@@ -188,6 +201,8 @@ def _gram_entries(p: NcPoly) -> tuple[dict, dict]:
     A word a'b (a, b nonempty analytic words) is G_f[a, b] and a word ab' is
     G_k[a, b]; each splits in exactly one way.  Pure words belong to F + F'.
     p must pass the structural screen, so every mixed word is of one form.
+    The exact LDL' of each matrix either certifies p or, through its
+    negative direction, builds the witness that refutes it.
     """
     gram_f: dict[tuple[Word, Word], Fraction] = {}
     gram_k: dict[tuple[Word, Word], Fraction] = {}
@@ -204,33 +219,30 @@ def _gram_entries(p: NcPoly) -> tuple[dict, dict]:
 
 
 def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdict:
-    """Decide nc plurisubharmonicity of a symmetric polynomial."""
+    """Decide nc plurisubharmonicity of a symmetric polynomial.
+
+    ``policy`` steers only the witness search for inputs with a stray word.
+    """
     if not p.is_symmetric():
         raise NotSymmetric("decide_plush requires p' = p")
     _require_direction_free(p, "decide_plush")
     violation = structural_screen(p)
     if violation is not None:
-        return _refute(p, violation, policy)
+        return _refute(complex_hessian(p), violation, policy)
     g = p.nvars
-    grams = _gram_entries(p)
 
     facs: list[Optional[LdltFactorization]] = []
     word_lists: list[tuple[Word, ...]] = []
     squares: list[tuple[tuple[Fraction, ...], tuple[NcPoly, ...]]] = []
-    for side, gram in zip(("analytic", "antianalytic"), grams):
+    for side, gram in zip(("analytic", "antianalytic"), _gram_entries(p)):
         words = tuple(sorted({w for pair in gram for w in pair}, key=word_key))
         fac = None
         if words:
             fac = ldlt_factor([[NcPoly.const(g, gram.get((a, b), 0)) for b in words]
                                for a in words])
-        if isinstance(fac, Obstruction):
-            return _refute(p, Violation(
-                OBSTRUCTION, f"no constant pivot in the {side} Gram matrix:\n"
-                + _words_line(words) + "\n" + fac.dump()), policy)
-        diag = fac.diag_values() if fac is not None else []
-        if any(d < 0 for d in diag):
-            return _refute(p, Violation(
-                NEGATIVE_PIVOT, f"a negative pivot in the {side} Gram matrix"), policy)
+        diag = fac.diag_values() if isinstance(fac, LdltFactorization) else []
+        if isinstance(fac, Obstruction) or any(d < 0 for d in diag):
+            return _refute_gram(p, side, gram, words, fac, policy)
         weights, pieces = [], []
         for i, d in enumerate(diag):
             if d > 0:  # weight D[i] on the square of sum_r L[r, i] word_r
@@ -251,19 +263,58 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
                         words_analytic=word_lists[0], words_antianalytic=word_lists[1])
 
 
-def _refute(p: NcPoly, violation: Violation,
-            policy: Optional[SamplePolicy]) -> PlushVerdict:
-    """Search a witness on the complex hessian of p; the violation labels it."""
-    q = complex_hessian(p)
+def _refute(q: NcPoly, violation: Violation, policy: Optional[SamplePolicy],
+            note: str = "") -> PlushVerdict:
+    """Search a witness on the complex hessian q; the violation labels it.
+    ``note`` says why a Gram failure had to be searched."""
     policy = policy or SamplePolicy()
     witness = find_witness(q, violation, policy)
     if witness is not None:
-        return PlushVerdict("not_plush", counterexample=witness)
+        return PlushVerdict("not_plush", counterexample=witness,
+                            reason=f"{violation.kind}: {note}" if note else None)
     return PlushVerdict(
         "inconclusive",
-        reason=f"{violation.kind}: {violation.detail} (refutation is forced, "
-               f"but no witness within {policy.samples_per_size} samples per "
-               f"size {list(policy.sizes_for(q.degree()))})")
+        reason=f"{violation.kind}: {violation.detail} ({note + '; ' if note else ''}"
+               f"refutation is forced, but no witness within {policy.samples_per_size} "
+               f"samples per size {list(policy.sizes_for(q.degree()))})")
+
+
+def _refute_gram(p: NcPoly, side: str, gram: dict, words: tuple[Word, ...],
+                 fac: Union[LdltFactorization, Obstruction],
+                 policy: Optional[SamplePolicy]) -> PlushVerdict:
+    """Refute p from a failed LDL' of one Gram matrix with a constructed
+    witness, checked exactly on its complex hessian q.  A witness that is
+    too large or does not fit floats falls back to the search, and the
+    verdict's reason says why."""
+    path = OBSTRUCTION if isinstance(fac, Obstruction) else NEGATIVE_PIVOT
+    c, value = negative_direction(fac, words)
+    if side == "antianalytic":  # G_k[a, b] is G_f[rev a, rev b] of the transposes
+        gram = {(a[::-1], b[::-1]): v for (a, b), v in gram.items()}
+        c = {a[::-1]: v for a, v in c.items()}
+    q = complex_hessian(p)
+    n, X, H = gram_witness(p.nvars, gram, c, value, q.degree())
+    if n > MAX_MATRIX_SIZE:
+        problem = f"would need size {n} > {MAX_MATRIX_SIZE}"
+    elif X is None:
+        problem = "would leave the float range"
+    else:
+        if side == "antianalytic":
+            X = [{(col, row): v for (row, col), v in m.items()} for m in X]
+            H = [{(col, row): v for (row, col), v in m.items()} for m in H]
+        exact = replay_at_e0(q, X, H)
+        if exact < 0:
+            Xf, Hf = float_tuple(X, n), float_tuple(H, n)
+            eigenvalue = quadratic_min_eigenvalue(q, Xf, Hf, check=False)
+            return PlushVerdict("not_plush", counterexample=Counterexample(
+                Xf, Hf, eigenvalue, path, exact))
+        problem = "lost its sign when rounded to floats"
+    if path == OBSTRUCTION:
+        detail = (f"no constant pivot in the {side} Gram matrix:\n"
+                  + _words_line(words) + "\n" + fac.dump())
+    else:
+        detail = f"a negative pivot in the {side} Gram matrix"
+    return _refute(q, Violation(path, detail), policy,
+                   f"the constructed witness {problem}, so it was searched for")
 
 
 def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
@@ -287,6 +338,10 @@ def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
 
 def _format_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _format_fraction(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _matrix_lines(name: str, tup: MatrixTuple) -> list[str]:
@@ -318,9 +373,11 @@ def format_report(verdict: PlushVerdict) -> str:
         lines.append(f"path: {cex.path}")
         lines.append(f"size: {cex.size}")
         lines.append(f"eigenvalue: {_format_float(cex.eigenvalue)}")
+        if cex.exact_value is not None:
+            lines.append(f"exact value: {_format_fraction(cex.exact_value)}")
         lines.extend(_matrix_lines("X", cex.X))
         lines.extend(_matrix_lines("H", cex.H))
-    else:
+    if verdict.reason is not None:
         lines.append(f"reason: {verdict.reason}")
     return "\n".join(lines)
 
@@ -367,6 +424,8 @@ def verdict_to_dict(verdict: PlushVerdict, nvars: int) -> dict:
             "X": [m.tolist() for m in cex.X.entries],
             "H": [m.tolist() for m in cex.H.entries],
         }
+        if cex.exact_value is not None:
+            out["counterexample"]["exact_value"] = _format_fraction(cex.exact_value)
     if verdict.reason is not None:
         out["reason"] = verdict.reason
     return out

@@ -86,17 +86,25 @@ def _build_parser() -> _Parser:
                        help="ambient variable count (default: inferred)")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report")
-        if sampling or size:
-            p.add_argument("--seed", type=_int_in(0), default=SamplePolicy.seed)
         if sampling:
-            p.add_argument("--sizes", type=_sizes, default=None, metavar="N1,N2,..",
-                           help="matrix sizes for the witness search "
-                                "(default: from the hessian degree)")
-            p.add_argument("--samples", type=int, default=SamplePolicy.samples_per_size,
-                           help="samples per size (default %(default)s)")
-            p.add_argument("--tol", type=float, default=SamplePolicy.tol,
-                           help="eigenvalue tolerance (default %(default)s)")
+            search = p.add_argument_group(
+                "witness search",
+                "These steer only the random witness search for inputs with a "
+                "stray word (neither hereditary nor antihereditary). A failed "
+                "Gram LDL' gets a constructed, exactly checked witness instead.")
+            search.add_argument("--seed", type=_int_in(0), default=SamplePolicy.seed,
+                                help="search seed (default %(default)s)")
+            search.add_argument("--sizes", type=_sizes, default=None,
+                                metavar="N1,N2,..",
+                                help="matrix sizes for the witness search "
+                                     "(default: from the hessian degree)")
+            search.add_argument("--samples", type=int,
+                                default=SamplePolicy.samples_per_size,
+                                help="samples per size (default %(default)s)")
+            search.add_argument("--tol", type=float, default=SamplePolicy.tol,
+                                help="eigenvalue tolerance (default %(default)s)")
         if size:
+            p.add_argument("--seed", type=_int_in(0), default=SamplePolicy.seed)
             p.add_argument("--size", type=_int_in(1, MAX_MATRIX_SIZE), default=3,
                            metavar="N",
                            help="matrix size for evaluation (default 3)")

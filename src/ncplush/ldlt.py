@@ -5,9 +5,9 @@ constants: permute such an entry to the front, divide its column by it, and
 take the Schur complement  C - B A^{-1} B'  of the remaining block.  When the
 residual is entirely zero the factorization closes with zero diagonal
 entries; when it is nonzero but offers no constant pivot the routine returns
-an :class:`Obstruction` carrying the residual (for positive inputs from the
-certification pipeline this never happens, so an obstruction is itself a
-refutation signal).
+an :class:`Obstruction` carrying the residual and the multipliers of the
+pivots already taken (for positive inputs from the certification pipeline
+this never happens, so an obstruction is itself a refutation signal).
 
 Pivot choice is deterministic: largest absolute constant first, ties to the
 lowest original index.
@@ -92,13 +92,17 @@ class Obstruction:
 
     ``residual`` is the current Schur complement over ``residual_indices``
     (original positions, in order); ``perm_prefix`` lists the pivots already
-    taken.
+    taken.  ``lower`` is the unit lower triangular L of those pivots over the
+    order ``perm_prefix + residual_indices``; its residual columns are those
+    of the identity, so with Pi that order,
+    Pi M Pi' = L diag(D_prefix, residual) L'.
     """
 
     nvars: int
     perm_prefix: tuple[int, ...]
     residual_indices: tuple[int, ...]
     residual: tuple[tuple[NcPoly, ...], ...]
+    lower: tuple[tuple[NcPoly, ...], ...]
 
     def dump(self) -> str:
         lines = [f"obstruction after {len(self.perm_prefix)} pivot(s); "
@@ -161,7 +165,8 @@ def ldlt_factor(matrix: Union[MiddleMatrix, Sequence[Sequence[NcPoly]]]
             idx = tuple(remaining)
             residual = tuple(tuple(work[(i, j)] for j in remaining)
                              for i in remaining)
-            return Obstruction(g, tuple(order), idx, residual)
+            return Obstruction(g, tuple(order), idx, residual,
+                               _unit_lower(g, order + remaining, below))
         pivot, value = max(candidates, key=lambda iv: (abs(iv[1]), -iv[0]))
         order.append(pivot)
         diag.append(NcPoly.const(g, value))
@@ -176,7 +181,17 @@ def ldlt_factor(matrix: Union[MiddleMatrix, Sequence[Sequence[NcPoly]]]
                 if not wj.is_zero():
                     work[(i, j)] = work[(i, j)] - scaled * wj
 
-    one = NcPoly.const(g, 1)
+    return LdltFactorization(
+        g, tuple(order), _unit_lower(g, order, below), tuple(diag),
+        tuple(d.constant_value() is not None for d in diag))
+
+
+def _unit_lower(g: int, order: list[int], below: dict[tuple[int, int], NcPoly]
+                ) -> tuple[tuple[NcPoly, ...], ...]:
+    """Unit lower triangular L over ``order`` from the stored multipliers
+    (keyed by original row and pivot positions)."""
+    n = len(order)
+    zero, one = NcPoly.zero(g), NcPoly.const(g, 1)
     lower: Grid = [[zero] * n for _ in range(n)]
     for a in range(n):
         lower[a][a] = one
@@ -184,6 +199,4 @@ def ldlt_factor(matrix: Union[MiddleMatrix, Sequence[Sequence[NcPoly]]]
             entry = below.get((order[a], order[b]))
             if entry is not None:
                 lower[a][b] = entry
-    return LdltFactorization(
-        g, tuple(order), tuple(tuple(row) for row in lower), tuple(diag),
-        tuple(d.constant_value() is not None for d in diag))
+    return tuple(tuple(row) for row in lower)

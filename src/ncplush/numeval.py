@@ -64,13 +64,18 @@ def random_tuple(g: int, n: int, rng: np.random.Generator) -> MatrixTuple:
     return MatrixTuple(rng.uniform(-1.0, 1.0, (g, n, n)))
 
 
-def eval_quadratic(q: NcPoly, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
-    """Evaluate a hessian-shaped quadratic (one h and one h' per term)."""
+def check_bidegree(q: NcPoly) -> None:
+    """Raise WrongBidegree unless every term has one h and one h'."""
     for word in q.terms:
         kinds = [c & 3 for c in word]
         if kinds.count(KIND_H) != 1 or kinds.count(KIND_HT) != 1:
             raise WrongBidegree(
-                "eval_quadratic expects bidegree (1,1) in the direction letters")
+                "a hessian-shaped quadratic needs bidegree (1,1) in the direction letters")
+
+
+def eval_quadratic(q: NcPoly, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
+    """Evaluate a hessian-shaped quadratic (one h and one h' per term)."""
+    check_bidegree(q)
     return evaluate(q, X, H)
 
 
@@ -98,6 +103,13 @@ def min_eigenvalue(A: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def quadratic_min_eigenvalue(q: NcPoly, X: MatrixTuple, H: MatrixTuple) -> float:
-    """Min eigenvalue of the symmetrized evaluation of q at (X, H)."""
-    return min_eigenvalue(symmetrize(eval_quadratic(q, X, H)))
+def quadratic_min_eigenvalue(q: NcPoly, X: MatrixTuple, H: MatrixTuple, *,
+                             check: bool = True) -> float:
+    """Min eigenvalue of the symmetrized evaluation of q at (X, H).
+
+    ``check=False`` skips the bidegree check, for a caller that ran
+    ``check_bidegree(q)`` once before evaluating the same q many times.
+    """
+    if check:
+        check_bidegree(q)
+    return min_eigenvalue(symmetrize(evaluate(q, X, H)))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ncplush.calculus import complex_hessian
+from ncplush import classify
 from ncplush.classify import (
     Decomposition,
     Violation,
@@ -18,7 +19,7 @@ from ncplush.classify import (
     verdict_to_dict,
     verify_decomposition,
 )
-from ncplush.errors import AlreadyDirectional, NotSymmetric
+from ncplush.errors import AlreadyDirectional, NotSymmetric, WrongBidegree
 from ncplush.freealg import NcPoly, is_antihereditary_word, is_hereditary_word, parse_poly
 from ncplush.ldlt import Obstruction, ldlt_factor
 from ncplush.mmr import block_view, build_mmr, check_degree_bound
@@ -59,14 +60,20 @@ def test_screen_flags_mixed_block():
 
 
 def test_screen_flags_odd_degree():
-    violation = screen("x1'*x1*x1 + x1'*x1'*x1")
+    # a stray word of odd length: the label is the parity of the hessian degree
+    violation = screen("x1*x1'*x1 + x1'*x1*x1'")
     assert violation is not None and violation.kind == "odd_degree"
+    assert violation.detail == "hessian degree 3 is odd"
+    # without a stray word an odd degree is left to the Gram LDL'
+    assert screen("x1'*x1*x1 + x1'*x1'*x1") is None
 
 
-def test_screen_flags_degree_bound():
-    # hessian of x1'x1'x1'x1 + transpose: borders reach degree 3 > floor(4/2)
-    violation = screen("x1'*x1'*x1'*x1 + x1'*x1*x1*x1")
-    assert violation is not None and violation.kind == "degree_bound"
+def test_screen_passes_degree_bound_input():
+    # hessian of x1'x1'x1'x1 + transpose: borders reach degree 3 > floor(4/2),
+    # but there is no stray word, so the Gram LDL' refutes it
+    p = P("x1'*x1'*x1'*x1 + x1'*x1*x1*x1")
+    assert structural_screen(p) is None
+    assert hessian_screen(complex_hessian(p)).kind == "degree_bound"
 
 
 def test_decide_plush_single_square():
@@ -128,6 +135,11 @@ def test_find_witness_trivial_sign_case():
     assert cex.eigenvalue <= -1e-8
 
 
+def test_find_witness_checks_the_bidegree():
+    with pytest.raises(WrongBidegree):
+        find_witness(P("h1*h1"), Violation("mixed_block", "label"))
+
+
 def test_find_witness_budget_exhaustion_is_none():
     violation = Violation("obstruction", "label")
     assert find_witness(P("h1'*h1"), violation, SamplePolicy((1, 2), 5, 1e-8, 0)) is None
@@ -148,6 +160,103 @@ def test_verdict_determinism():
     b = decide_plush(p, SamplePolicy(seed=7))
     assert a == b
     assert format_report(a) == format_report(b)
+
+
+def replay_at_e0(q, X, H):
+    """e0' q(X, H) e0 in Fractions, from dense copies of the float tuples."""
+    def exact(tup):
+        return [[[Fraction(v) for v in row] for row in m] for m in tup.entries]
+
+    mats = []  # letter code 4j + kind -> kinds x, x', h, h'
+    for x, h in zip(exact(X), exact(H)):
+        for m in (x, h):
+            mats.append(m)
+            mats.append([list(col) for col in zip(*m)])
+    mats = [mats[4 * j + k] for j in range(X.nvars) for k in (0, 1, 2, 3)]
+    total = Fraction(0)
+    for word, coeff in q.terms.items():
+        vec = [Fraction(int(i == 0)) for i in range(X.n)]
+        for letter in reversed(word):
+            m = mats[letter]
+            vec = [sum(m[i][k] * vec[k] for k in range(X.n)) for i in range(X.n)]
+        total += coeff * vec[0]
+    return total
+
+
+def assert_constructed(p, verdict):
+    """A not_plush verdict with an exact negative value that a separate
+    Fraction replay through q confirms, and a float eigenvalue that agrees."""
+    assert verdict.kind == "not_plush", p
+    cex = verdict.counterexample
+    q = complex_hessian(p)
+    assert cex.exact_value is not None and cex.exact_value < 0, p
+    assert replay_at_e0(q, cex.X, cex.H) == cex.exact_value, p
+    assert cex.eigenvalue <= -1e-8, p
+    assert quadratic_min_eigenvalue(q, cex.X, cex.H) == pytest.approx(cex.eigenvalue)
+    assert cex.eigenvalue <= float(cex.exact_value) + 1e-9, p  # e0 is a unit vector
+    return cex
+
+
+@pytest.mark.parametrize("text, path", [
+    ("0 - x1'*x1", "negative_pivot"),
+    ("0 - x1*x1'", "negative_pivot"),
+    ("x1'*x1*x1 + x1'*x1'*x1", "obstruction"),
+    ("x1'*x1'*x1'*x1 + x1'*x1*x1*x1", "obstruction"),
+])
+def test_gram_failure_gets_constructed_witness(text, path):
+    p = P(text)
+    verdict = decide_plush(p, SamplePolicy(tol=1e9))  # the search would find nothing
+    cex = assert_constructed(p, verdict)
+    assert cex.path == path and verdict.reason is None
+    value = cex.exact_value
+    assert f"exact value: {value.numerator}/{value.denominator}" in format_report(verdict)
+    data = json.loads(json.dumps(verdict_to_dict(verdict, 1)))
+    assert Fraction(data["counterexample"]["exact_value"]) == value
+
+
+def test_gram_failures_near_the_boundary_are_all_exact():
+    rng = random.Random(8080)
+    inputs = []
+    for eps in (Fraction(1, 10), Fraction(1, 10**3), Fraction(1, 10**6)):
+        for _ in range(12):
+            g = rng.randint(1, 3)
+            plush = plush_instance(rng, g, max_deg=2)["p"]
+            f = random_analytic(rng, g, max_deg=3, min_deg=1)
+            inputs.append(plush - eps * (f.T * f))
+    while len(inputs) < 76:
+        r = random_poly(rng, rng.randint(1, 3), max_deg=rng.randint(2, 6))
+        p = r + r.T
+        if not p.is_zero() and all(is_hereditary_word(w) or is_antihereditary_word(w)
+                                   for w in p.terms):
+            inputs.append(p)
+    kinds = {"plush": 0, "not_plush": 0, "inconclusive": 0}
+    for p in inputs:
+        verdict = decide_plush(p)
+        kinds[verdict.kind] += 1
+        if verdict.kind == "not_plush":
+            assert_constructed(p, verdict)
+    assert kinds["inconclusive"] == 0 and kinds["not_plush"] >= 40, kinds
+
+
+def test_oversized_construction_falls_back_to_the_search(monkeypatch):
+    monkeypatch.setattr(classify, "MAX_MATRIX_SIZE", 2)
+    p = P("0 - x1'*x1")  # the construction needs size 3
+    verdict = decide_plush(p)
+    assert verdict.kind == "not_plush"
+    assert verdict.counterexample.exact_value is None
+    assert verdict.counterexample.path == "negative_pivot"
+    assert "size 3 > 2" in verdict.reason and "reason: " in format_report(verdict)
+    stuck = decide_plush(p, SamplePolicy(tol=1e9))
+    assert stuck.kind == "inconclusive"
+    assert stuck.reason.startswith("negative_pivot: ") and "size 3 > 2" in stuck.reason
+
+
+def test_construction_outside_the_float_range_falls_back_to_the_search():
+    # c'Gc = -10^-400 would need entries near 2^665 in a degree-6 hessian
+    p = P("x1'*x1 - 1/1" + "0" * 400 + "*x1'*x1'*x1'*x1*x1*x1")
+    verdict = decide_plush(p, SamplePolicy((1,), 2))
+    assert verdict.kind in ("not_plush", "inconclusive")
+    assert "the constructed witness would leave the float range" in verdict.reason
 
 
 def test_verify_decomposition_rejects_tampering():
@@ -235,6 +344,7 @@ def test_verdict_json_roundtrip():
     assert data2["verdict"] == "not_plush"
     assert data2["counterexample"]["eigenvalue"] == cex.eigenvalue
     assert data2["counterexample"]["path"] == cex.path
+    assert "exact_value" not in data2["counterexample"]  # a searched witness
     assert np.array_equal(data2["counterexample"]["X"], [m.tolist() for m in cex.X.entries])
 
 
@@ -315,15 +425,16 @@ def test_mixed_border_iff_stray_word(small_corpus):
     structure: q = complex_hessian(p) has a B or Bt border monomial exactly
     when p has a word that is neither hereditary nor antihereditary, and
     without one the analytic block is hereditary and the antianalytic block
-    antihereditary.  So every stray word fails the screen, and the screen
-    on the words of p agrees with the one read off q."""
+    antihereditary.  So every stray word fails the screen, with the kind the
+    checks read off q give it.  Without a stray word a failed check on q
+    leaves the refutation to the Gram LDL' of p."""
     rng = random.Random(5150)
     inputs = [inst["p"] for inst in small_corpus]
     while len(inputs) < 430:
         r = random_poly(rng, rng.randint(1, 3), max_deg=rng.randint(2, 7))
         if not (r + r.T).is_zero():
             inputs.append(r + r.T)
-    counts = {True: 0, False: 0}
+    counts = {True: 0, False: 0, "gram": 0}
     for p in inputs:
         stray = not all(is_hereditary_word(w) or is_antihereditary_word(w)
                         for w in p.terms)
@@ -339,11 +450,13 @@ def test_mixed_border_iff_stray_word(small_corpus):
             assert all(is_antihereditary_word(w)
                        for row in blocks.q5 for entry in row for w in entry.terms), p
         from_words, from_q = structural_screen(p), hessian_screen(q)
-        assert (from_words is None) == (from_q is None), p
-        if from_q is not None:
-            assert from_words.kind == from_q.kind, p
+        if stray:
+            assert from_words is not None and from_words.kind == from_q.kind, p
             if from_q.kind != "mixed_block":
                 assert from_words.detail == from_q.detail, p
-        if stray:
-            assert from_words is not None, p
-    assert counts[True] >= 100 and counts[False] >= 100, counts
+        else:
+            assert from_words is None, p
+            if from_q is not None:
+                assert_constructed(p, decide_plush(p))
+                counts["gram"] += 1
+    assert counts[True] >= 100 and counts[False] >= 100 and counts["gram"] >= 20, counts

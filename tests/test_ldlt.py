@@ -62,6 +62,23 @@ def test_obstruction_when_no_constant_pivot():
     assert "obstruction" in result.dump()
 
 
+def test_obstruction_carries_prefix_multipliers():
+    rows = grid(1, [[1, 1, 1], [1, 1, 2], [1, 2, 1]])
+    result = ldlt_factor(rows)
+    assert isinstance(result, Obstruction)
+    assert result.perm_prefix == (0,) and result.residual_indices == (1, 2)
+    # Pi M Pi' = L diag(D_prefix, residual) L' over the order prefix + residual
+    order = result.perm_prefix + result.residual_indices
+    L = [[e.constant_value() for e in row] for row in result.lower]
+    middle = [[1, 0, 0]] + [[0] + [e.constant_value() for e in row]
+                            for row in result.residual]
+    for i in range(3):
+        for j in range(3):
+            product = sum(L[i][a] * middle[a][b] * L[j][b]
+                          for a in range(3) for b in range(3))
+            assert product == rows[order[i]][order[j]].constant_value()
+
+
 def test_validation_errors():
     with pytest.raises(NotSymmetric):
         ldlt_factor(grid(1, [["1", "x1"], ["x1", "1"]]))  # (0,1) must be x1'

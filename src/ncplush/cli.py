@@ -22,11 +22,9 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .calculus import complex_hessian, full_derivative
 from .classify import _format_float, _matrix_lines, decide_plush, verdict_to_dict
-from .errors import NcError
+from .errors import NcError, OutsideFloatRange
 from .freealg import (
     MAX_VARIABLE_INDEX,
     NcPoly,
@@ -128,7 +126,7 @@ def _load_poly(args) -> NcPoly:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _cmd_poly_transform(args, op) -> int:
@@ -194,11 +192,17 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import numpy as np
+
     poly = _load_poly(args)
     rng = np.random.default_rng(args.seed)
     X = random_tuple(poly.nvars, args.size, rng)
     H = random_tuple(poly.nvars, args.size, rng) if poly.has_directions() else None
-    value = evaluate(poly, X, H)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        value = evaluate(poly, X, H)
+    if not np.isfinite(value).all():
+        raise OutsideFloatRange(f"the value at the size-{args.size} tuple of seed "
+                                f"{args.seed} leaves the float range")
     if args.json:
         payload = {"size": args.size, "seed": args.seed,
                    "X": [m.tolist() for m in X.entries],

@@ -51,6 +51,10 @@ class NotSymmetric(NcError):
     """A symmetric polynomial or matrix was required."""
 
 
+class OutsideFloatRange(NcError):
+    """A coefficient or an evaluated value does not fit a float."""
+
+
 class DirectionLettersPresent(NcError):
     """Middle-matrix entries must be free of direction letters."""
 

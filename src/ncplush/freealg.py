@@ -29,17 +29,21 @@ into one dict, so parsing is linear; a :class:`ParseError` names line:column.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from math import floor, log10
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
     MissingDirection,
+    OutsideFloatRange,
     ParseError,
     SizeMismatch,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Word = tuple[int, ...]
 
@@ -312,6 +316,8 @@ class MatrixTuple:
     __slots__ = ("nvars", "n", "entries")
 
     def __init__(self, entries: Sequence[np.ndarray]):
+        import numpy as np
+
         mats = tuple(np.asarray(m, dtype=float) for m in entries)
         if not mats:
             raise ValueError("matrix tuple needs at least one component")
@@ -326,6 +332,8 @@ class MatrixTuple:
     def __eq__(self, other):
         if not isinstance(other, MatrixTuple):
             return NotImplemented
+        import numpy as np
+
         return (self.nvars == other.nvars and self.n == other.n
                 and all(np.array_equal(a, b) for a, b in zip(self.entries, other.entries)))
 
@@ -344,8 +352,11 @@ def evaluate(p: NcPoly, X: MatrixTuple, H: Optional[MatrixTuple] = None) -> np.n
     is compatible with matrix transposition.  The unit monomial evaluates to
     the identity.  Words are multiplied out left to right; a prefix shared by
     several words is multiplied once while the kept products fit in
-    EVAL_CACHE_FLOATS, which changes no bit of the result.
+    EVAL_CACHE_FLOATS, which changes no bit of the result.  A coefficient
+    beyond the float range raises OutsideFloatRange.
     """
+    import numpy as np
+
     if X.nvars != p.nvars:
         raise AmbientMismatch(f"polynomial has g={p.nvars}, tuple has g={X.nvars}")
     directions = p.has_directions()
@@ -363,23 +374,31 @@ def evaluate(p: NcPoly, X: MatrixTuple, H: Optional[MatrixTuple] = None) -> np.n
     prods = [np.eye(n)]  # kept prefix products; node 0 is the unit word
     child: dict[tuple[int, int], int] = {}  # (node, letter) -> node
     out = np.zeros((n, n))
-    for word, coeff in p.terms.items():
-        node, acc = 0, prods[0]
-        for c in word:
-            key, node = (node, c), child.get((node, c), -1)
-            if node >= 0:
-                acc = prods[node]
-            else:
-                acc = acc @ mats[c]
-                if len(prods) * n * n < EVAL_CACHE_FLOATS:
-                    node = child[key] = len(prods)
-                    prods.append(acc)
-        out += coeff.numerator / coeff.denominator * acc  # float(coeff), inlined
+    try:
+        for word, coeff in p.terms.items():
+            node, acc = 0, prods[0]
+            for c in word:
+                key, node = (node, c), child.get((node, c), -1)
+                if node >= 0:
+                    acc = prods[node]
+                else:
+                    acc = acc @ mats[c]
+                    if len(prods) * n * n < EVAL_CACHE_FLOATS:
+                        node = child[key] = len(prods)
+                        prods.append(acc)
+            out += coeff.numerator / coeff.denominator * acc  # float(coeff), inlined
+    except OverflowError:  # only the int division above raises it
+        exponent = floor(log10(abs(coeff.numerator)) - log10(coeff.denominator))
+        raise OutsideFloatRange(
+            f"the coefficient of {format_word(word)} is about 10^{exponent}, beyond "
+            f"the largest float {sys.float_info.max:.17g}") from None
     return out
 
 
 def direct_sum(tuples: Sequence[MatrixTuple]) -> MatrixTuple:
     """Componentwise block-diagonal sum of matrix tuples (same g)."""
+    import numpy as np
+
     if not tuples:
         raise ValueError("direct_sum of an empty list")
     g = tuples[0].nvars

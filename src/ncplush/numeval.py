@@ -1,7 +1,10 @@
 """Numeric backend: matrix-tuple sampling, quadratic and middle-matrix
 evaluation, and eigenvalue tests.
 
-Floats live only here.  Random tuples have i.i.d. uniform [-1, 1] entries
+The float side of the package is this module together with
+``freealg.evaluate``/``MatrixTuple``, ``witness.float_tuple`` and
+``ncplush eval``; each imports numpy on first use, so a certificate, which
+is exact, never loads it.  Random tuples have i.i.d. uniform [-1, 1] entries
 with no symmetry imposed, and every sampler takes an explicit seed so runs
 replay exactly.
 """
@@ -10,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import NotSymmetric, WrongBidegree
 from .freealg import KIND_H, KIND_HT, MatrixTuple, NcPoly, evaluate
 from .mmr import MiddleMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest matrix size a sample policy or ``ncplush eval`` may use: a tuple
 # costs g*n*n floats, and the witness search draws two per sample.
@@ -57,6 +61,8 @@ class SamplePolicy:
                                   MAX_MATRIX_SIZE) + 1))
 
     def rng(self) -> np.random.Generator:
+        import numpy as np
+
         return np.random.default_rng(self.seed)
 
 
@@ -81,6 +87,8 @@ def eval_quadratic(q: NcPoly, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
 
 def eval_middle_matrix(M: MiddleMatrix, X: MatrixTuple) -> np.ndarray:
     """Blockwise evaluation: an (N*n) x (N*n) real symmetric matrix."""
+    import numpy as np
+
     size = M.size
     n = X.n
     out = np.zeros((size * n, size * n))
@@ -96,6 +104,8 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(A: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix (dense eigensolve)."""
+    import numpy as np
+
     A = np.asarray(A, dtype=float)
     scale = max(1.0, float(np.max(np.abs(A))) if A.size else 1.0)
     if float(np.max(np.abs(A - A.T))) > 1e-12 * scale:

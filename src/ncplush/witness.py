@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import ldexp, lcm
 from typing import Optional, Union
 
-import numpy as np
-
 from .freealg import MatrixTuple, NcPoly, Word, word_key
 from .ldlt import LdltFactorization, Obstruction
 
@@ -144,6 +142,8 @@ def replay_at_e0(q: NcPoly, X: SparseTuple, H: SparseTuple) -> Fraction:
 
 
 def float_tuple(tup: SparseTuple, n: int) -> MatrixTuple:
+    import numpy as np
+
     mats = np.zeros((len(tup), n, n))
     for j, entries in enumerate(tup):
         for (row, col), v in entries.items():

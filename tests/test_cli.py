@@ -115,6 +115,13 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
+def fresh(*args) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a new interpreter that imports this ncplush."""
+    src = os.path.dirname(os.path.dirname(sys.modules[main.__module__].__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+
 def test_shared_parser_keeps_no_flags_between_calls(capsys):
     """The parser is built once per process; a call's flags must not leak
     into the next call, which prints what it prints in a fresh process."""
@@ -122,10 +129,7 @@ def test_shared_parser_keeps_no_flags_between_calls(capsys):
         "-e", "x1'*x1*x1'*x1")
     argv = ("classify", "--json", "-e", "x1'*x1*x1'*x1")
     code, out, _ = run(capsys, *argv)
-    src = os.path.dirname(os.path.dirname(sys.modules[main.__module__].__file__))
-    alone = subprocess.run([sys.executable, "-m", "ncplush.cli", *argv],
-                           capture_output=True, text=True,
-                           env={**os.environ, "PYTHONPATH": src})
+    alone = fresh("-m", "ncplush.cli", *argv)
     assert (code, out) == (alone.returncode, alone.stdout)
     assert json.loads(out)["verdict"] == "not_plush"
 
@@ -210,6 +214,64 @@ def test_float_overflow_is_an_error(capsys):
     code, out, err = run(capsys, "eval", "--size", "1", "-e", "1" + "0" * 400 + "*x1")
     assert code == 1 and out == ""
     assert err.startswith(("error: ", "usage error: ")) and "Traceback" not in err
+
+
+def test_numpy_stays_unloaded_on_the_exact_path():
+    """A plush verdict is exact: importing the package and certifying in a
+    fresh interpreter load no numpy."""
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "seen = []",
+        "import ncplush",
+        "seen.append('numpy' in sys.modules)",
+        "import ncplush.cli",
+        "seen.append('numpy' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = ncplush.cli.main(['classify', '--json', '-e', \"x1'*x1 + x1*x1'\"])",
+        "seen.append('numpy' in sys.modules)",
+        "print(json.dumps([code, seen]))",
+    ])
+    done = fresh("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0, [False, False, False]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "-e", "0 - x1'*x1"),  # Gram route: constructed witness
+    ("classify", "-e", "x1'*x1*x1'*x1"),  # stray word: random search
+    ("eval", "--json", "--vars", "2", "--size", "3", "--seed", "5",
+     "-e", "x1*x2' + h1'*x2*h1"),
+])
+def test_float_paths_match_a_fresh_interpreter(capsys, argv):
+    """Each float path imports numpy on first use; in a new interpreter it
+    prints what it prints here."""
+    code, out, _ = run(capsys, *argv)
+    alone = fresh("-m", "ncplush.cli", *argv)
+    assert (alone.returncode, alone.stdout) == (code, out)
+    assert alone.stderr == ""
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("classify",), "h1'*h2"),  # the refutation evaluates the hessian
+    (("eval", "--vars", "2"), "x1'*x2"),
+])
+def test_coefficient_beyond_floats_names_the_word(capsys, argv, word):
+    code, out, err = run(capsys, *argv,
+                         "-e", f"x1'*x1'*x1*x1 + {_HUGE}*x1'*x2 + {_HUGE}*x2'*x1")
+    assert code == 1 and out == ""
+    assert err == (f"error: the coefficient of {word} is about 10^400, beyond "
+                   f"the largest float {sys.float_info.max!r}\n")
+
+
+def test_eval_value_beyond_floats_is_an_error(capsys):
+    big = "1" + "0" * 308
+    code, out, err = run(capsys, "eval", "--json", "--vars", "1", "--size", "1",
+                         "--seed", "4", "-e", f"{big}*x1 + {big}*x1*x1 + {big}")
+    assert code == 1 and out == ""  # no Infinity in the JSON, and no numpy warning
+    assert err == "error: the value at the size-1 tuple of seed 4 leaves the float range\n"
 
 
 def test_hessian_caps_variable_index(capsys):

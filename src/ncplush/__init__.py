@@ -50,7 +50,6 @@ from .mmr import (
 from .numeval import (
     SamplePolicy,
     eval_middle_matrix,
-    eval_quadratic,
     min_eigenvalue,
     random_tuple,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "deriv_xjt",
     "direct_sum",
     "eval_middle_matrix",
-    "eval_quadratic",
     "evaluate",
     "expand_mmr",
     "find_witness",

@@ -10,9 +10,9 @@
   checked exactly; or
 
 * refutes it with a concrete matrix-tuple counterexample on which the
-  complex hessian has a negative eigenvalue; or
+  complex hessian is not positive semidefinite; or
 
-* reports inconclusive when a refutation is mathematically forced but the
+* reports inconclusive when a stray word forces a refutation but the
   sampling budget found no witness (never silently labelled a refutation).
 
 The decision reads only the words of p.  A structural screen first looks
@@ -23,17 +23,18 @@ witness.  Otherwise every mixed word of p is a'b or ab' with nonempty
 analytic a, b, so the coefficients of p fill in two unique constant Gram
 matrices G_f and G_k, and an exact LDL' of each with nonnegative D is the
 certificate.  When an LDL' has a negative pivot or an obstruction, its
-negative direction c (c'Gc < 0) gives a witness directly (see
-``witness.gram_witness``), and u'q(X, H)u < 0 is replayed exactly in
-rationals.
+negative direction c (c'Gc < 0) gives a witness with exact rational
+entries (see ``witness.gram_witness``), of any size, and e0'q(X, H)e0 < 0
+is replayed exactly on them; nothing falls back to the search.  A float
+view of it is added when it fits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isnan, nan
 from typing import Optional, Union
-
 
 from .calculus import _require_direction_free, complex_hessian
 from .errors import InternalInconsistency, NotSymmetric
@@ -57,7 +58,7 @@ from .numeval import (
     quadratic_min_eigenvalue,
     random_tuple,
 )
-from .witness import float_tuple, gram_witness, negative_direction, replay_at_e0
+from .witness import SparseTuple, float_tuple, gram_witness, negative_direction, replay_at_e0
 # unused here; the benchmark's traced run wraps these names on this module
 from .mmr import block_view, build_mmr  # noqa: F401
 from .wed import antiderivative, is_directional_derivative  # noqa: F401
@@ -81,21 +82,22 @@ class Violation:
 class Counterexample:
     """Matrix tuples on which the hessian evaluation is indefinite.
 
-    ``exact_value`` is e0' q(X, H) e0 for the first basis vector e0,
-    computed in rationals from the float entries of X and H, when the
-    witness was constructed from a Gram LDL'; it is None for a searched
-    witness, which rests on the float ``eigenvalue`` alone.
+    A witness built from a Gram LDL' has exact sparse ``exact_X``/``exact_H``
+    and the negative ``exact_value`` e0' q(X, H) e0 computed from them, which
+    is the proof; its float ``X``, ``H`` and ``eigenvalue`` are an optional
+    view, and ``no_view_reason`` says why they are None.  A searched witness
+    has only the float fields and rests on its ``eigenvalue``.
     """
 
-    X: MatrixTuple
-    H: MatrixTuple
-    eigenvalue: float
+    X: Optional[MatrixTuple]
+    H: Optional[MatrixTuple]
+    eigenvalue: Optional[float]
     path: str
+    size: int
     exact_value: Optional[Fraction] = None
-
-    @property
-    def size(self) -> int:
-        return self.X.n
+    exact_X: Optional[SparseTuple] = None
+    exact_H: Optional[SparseTuple] = None
+    no_view_reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,8 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class PlushVerdict:
-    """Outcome of the decision: exactly one arm is populated, plus a reason
-    when the verdict is inconclusive or its witness had to be searched for
-    instead of constructed."""
+    """Outcome of the decision: exactly one arm is populated, and a reason
+    only when the verdict is inconclusive."""
 
     kind: str  # "plush" | "not_plush" | "inconclusive"
     decomposition: Optional[Decomposition] = None
@@ -179,8 +180,9 @@ def find_witness(q: NcPoly, violation: Violation,
     """Random search for (X, H) with a negative hessian eigenvalue.
 
     Entries are i.i.d. uniform on [-1, 1] over the policy's sizes for q; the
-    violation only labels the path.  Returns None when the budget is
-    exhausted (the caller reports inconclusive).
+    violation only labels the path.  A sample whose evaluation overflows is
+    skipped.  Returns None when the budget is exhausted (the caller reports
+    inconclusive).
     """
     policy = policy or SamplePolicy()
     check_bidegree(q)
@@ -190,8 +192,8 @@ def find_witness(q: NcPoly, violation: Violation,
         for _ in range(policy.samples_per_size):
             X, H = random_tuple(g, n, rng), random_tuple(g, n, rng)
             value = quadratic_min_eigenvalue(q, X, H, check=False)
-            if value <= -policy.tol:
-                return Counterexample(X, H, value, violation.kind)
+            if value <= -policy.tol:  # False for the nan of an overflow
+                return Counterexample(X, H, value, violation.kind, n)
     return None
 
 
@@ -227,8 +229,15 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
         raise NotSymmetric("decide_plush requires p' = p")
     _require_direction_free(p, "decide_plush")
     violation = structural_screen(p)
-    if violation is not None:
-        return _refute(complex_hessian(p), violation, policy)
+    if violation is not None:  # search a witness on q; the violation labels it
+        q, policy = complex_hessian(p), policy or SamplePolicy()
+        witness = find_witness(q, violation, policy)
+        if witness is not None:
+            return PlushVerdict("not_plush", counterexample=witness)
+        return PlushVerdict("inconclusive", reason=(
+            f"{violation.kind}: {violation.detail} (refutation is forced, but no witness "
+            f"within {policy.samples_per_size} samples per size "
+            f"{list(policy.sizes_for(q.degree()))})"))
     g = p.nvars
 
     facs: list[Optional[LdltFactorization]] = []
@@ -242,7 +251,7 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
                                for a in words])
         diag = fac.diag_values() if isinstance(fac, LdltFactorization) else []
         if isinstance(fac, Obstruction) or any(d < 0 for d in diag):
-            return _refute_gram(p, side, gram, words, fac, policy)
+            return _refute_gram(p, side, gram, words, fac)
         weights, pieces = [], []
         for i, d in enumerate(diag):
             if d > 0:  # weight D[i] on the square of sum_r L[r, i] word_r
@@ -263,58 +272,40 @@ def decide_plush(p: NcPoly, policy: Optional[SamplePolicy] = None) -> PlushVerdi
                         words_analytic=word_lists[0], words_antianalytic=word_lists[1])
 
 
-def _refute(q: NcPoly, violation: Violation, policy: Optional[SamplePolicy],
-            note: str = "") -> PlushVerdict:
-    """Search a witness on the complex hessian q; the violation labels it.
-    ``note`` says why a Gram failure had to be searched."""
-    policy = policy or SamplePolicy()
-    witness = find_witness(q, violation, policy)
-    if witness is not None:
-        return PlushVerdict("not_plush", counterexample=witness,
-                            reason=f"{violation.kind}: {note}" if note else None)
-    return PlushVerdict(
-        "inconclusive",
-        reason=f"{violation.kind}: {violation.detail} ({note + '; ' if note else ''}"
-               f"refutation is forced, but no witness within {policy.samples_per_size} "
-               f"samples per size {list(policy.sizes_for(q.degree()))})")
-
-
 def _refute_gram(p: NcPoly, side: str, gram: dict, words: tuple[Word, ...],
-                 fac: Union[LdltFactorization, Obstruction],
-                 policy: Optional[SamplePolicy]) -> PlushVerdict:
+                 fac: Union[LdltFactorization, Obstruction]) -> PlushVerdict:
     """Refute p from a failed LDL' of one Gram matrix with a constructed
-    witness, checked exactly on its complex hessian q.  A witness that is
-    too large or does not fit floats falls back to the search, and the
-    verdict's reason says why."""
+    witness, checked exactly on its complex hessian q."""
     path = OBSTRUCTION if isinstance(fac, Obstruction) else NEGATIVE_PIVOT
     c, value = negative_direction(fac, words)
     if side == "antianalytic":  # G_k[a, b] is G_f[rev a, rev b] of the transposes
         gram = {(a[::-1], b[::-1]): v for (a, b), v in gram.items()}
         c = {a[::-1]: v for a, v in c.items()}
+    n, X, H = gram_witness(p.nvars, gram, c, value)
+    if side == "antianalytic":
+        X, H = ([{(col, row): v for (row, col), v in m.items()} for m in tup] for tup in (X, H))
     q = complex_hessian(p)
-    n, X, H = gram_witness(p.nvars, gram, c, value, q.degree())
+    exact = replay_at_e0(q, X, H)
+    if exact >= 0:
+        raise InternalInconsistency("constructed Gram witness is not negative")
+    Xf, Hf, eigenvalue, no_view = _float_view(q, X, H, n)
+    return PlushVerdict("not_plush", counterexample=Counterexample(
+        Xf, Hf, eigenvalue, path, n, exact, X, H, no_view))
+
+
+def _float_view(q: NcPoly, X: SparseTuple, H: SparseTuple, n: int) -> tuple:
+    """(X, H, min eigenvalue of q there) in floats and None, or three Nones
+    and the reason there is no float view."""
     if n > MAX_MATRIX_SIZE:
-        problem = f"would need size {n} > {MAX_MATRIX_SIZE}"
-    elif X is None:
-        problem = "would leave the float range"
-    else:
-        if side == "antianalytic":
-            X = [{(col, row): v for (row, col), v in m.items()} for m in X]
-            H = [{(col, row): v for (row, col), v in m.items()} for m in H]
-        exact = replay_at_e0(q, X, H)
-        if exact < 0:
-            Xf, Hf = float_tuple(X, n), float_tuple(H, n)
-            eigenvalue = quadratic_min_eigenvalue(q, Xf, Hf, check=False)
-            return PlushVerdict("not_plush", counterexample=Counterexample(
-                Xf, Hf, eigenvalue, path, exact))
-        problem = "lost its sign when rounded to floats"
-    if path == OBSTRUCTION:
-        detail = (f"no constant pivot in the {side} Gram matrix:\n"
-                  + _words_line(words) + "\n" + fac.dump())
-    else:
-        detail = f"a negative pivot in the {side} Gram matrix"
-    return _refute(q, Violation(path, detail), policy,
-                   f"the constructed witness {problem}, so it was searched for")
+        return None, None, None, f"size {n} > {MAX_MATRIX_SIZE}"
+    try:
+        Xf, Hf = float_tuple(X, n), float_tuple(H, n)
+    except OverflowError:  # an entry beyond the float range
+        Xf = None
+    eigenvalue = nan if Xf is None else quadratic_min_eigenvalue(q, Xf, Hf, check=False)
+    if isnan(eigenvalue):
+        return None, None, None, "an entry or the value of q leaves the float range"
+    return Xf, Hf, eigenvalue, None
 
 
 def verify_decomposition(p: NcPoly, decomposition: Decomposition) -> bool:
@@ -344,12 +335,18 @@ def _format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _grid_lines(name: str, grids) -> list[str]:
+    """``{name}{j} = [a b; c d]`` for the rows of grid j, entries as text."""
+    return [f"{name}{j} = [" + "; ".join(" ".join(row) for row in grid) + "]"
+            for j, grid in enumerate(grids, start=1)]
+
+
 def _matrix_lines(name: str, tup: MatrixTuple) -> list[str]:
-    lines = []
-    for j, mat in enumerate(tup.entries, start=1):
-        rows = "; ".join(" ".join(_format_float(v) for v in row) for row in mat)
-        lines.append(f"{name}{j} = [{rows}]")
-    return lines
+    return _grid_lines(name, ([map(_format_float, row) for row in m] for m in tup.entries))
+
+
+def _sparse_entries(m: dict) -> list:  # [row, col, "num/den"] per nonzero entry
+    return [[row, col, _format_fraction(v)] for (row, col), v in sorted(m.items())]
 
 
 def format_report(verdict: PlushVerdict) -> str:
@@ -370,13 +367,17 @@ def format_report(verdict: PlushVerdict) -> str:
                 lines.append(fac.dump())
     elif verdict.kind == "not_plush":
         cex = verdict.counterexample
-        lines.append(f"path: {cex.path}")
-        lines.append(f"size: {cex.size}")
-        lines.append(f"eigenvalue: {_format_float(cex.eigenvalue)}")
+        lines += [f"path: {cex.path}", f"size: {cex.size}",
+                  f"float view: none ({cex.no_view_reason})" if cex.X is None
+                  else f"eigenvalue: {_format_float(cex.eigenvalue)}"]
         if cex.exact_value is not None:
             lines.append(f"exact value: {_format_fraction(cex.exact_value)}")
-        lines.extend(_matrix_lines("X", cex.X))
-        lines.extend(_matrix_lines("H", cex.H))
+        if cex.X is not None:
+            lines += _matrix_lines("X", cex.X) + _matrix_lines("H", cex.H)
+        for name, tup in (("X", cex.exact_X), ("H", cex.exact_H)):
+            if tup is not None:  # "row col num/den" per nonzero entry
+                lines += _grid_lines(f"exact {name}", ([map(str, e) for e in _sparse_entries(m)]
+                                                       for m in tup))
     if verdict.reason is not None:
         lines.append(f"reason: {verdict.reason}")
     return "\n".join(lines)
@@ -417,15 +418,19 @@ def verdict_to_dict(verdict: PlushVerdict, nvars: int) -> dict:
         }
     if verdict.counterexample is not None:
         cex = verdict.counterexample
-        out["counterexample"] = {
+        out["counterexample"] = entry = {
             "path": cex.path,
             "eigenvalue": cex.eigenvalue,
             "size": cex.size,
-            "X": [m.tolist() for m in cex.X.entries],
-            "H": [m.tolist() for m in cex.H.entries],
+            "X": None if cex.X is None else [m.tolist() for m in cex.X.entries],
+            "H": None if cex.H is None else [m.tolist() for m in cex.H.entries],
         }
+        if cex.X is None:
+            entry["no_float_view"] = cex.no_view_reason
         if cex.exact_value is not None:
-            out["counterexample"]["exact_value"] = _format_fraction(cex.exact_value)
+            entry.update(exact_value=_format_fraction(cex.exact_value),
+                         exact_X=list(map(_sparse_entries, cex.exact_X)),
+                         exact_H=list(map(_sparse_entries, cex.exact_H)))
     if verdict.reason is not None:
         out["reason"] = verdict.reason
     return out

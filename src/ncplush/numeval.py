@@ -12,7 +12,7 @@ replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite
+from math import ceil, isfinite, nan
 from typing import TYPE_CHECKING, Optional
 
 from .errors import NotSymmetric, WrongBidegree
@@ -79,12 +79,6 @@ def check_bidegree(q: NcPoly) -> None:
                 "a hessian-shaped quadratic needs bidegree (1,1) in the direction letters")
 
 
-def eval_quadratic(q: NcPoly, X: MatrixTuple, H: MatrixTuple) -> np.ndarray:
-    """Evaluate a hessian-shaped quadratic (one h and one h' per term)."""
-    check_bidegree(q)
-    return evaluate(q, X, H)
-
-
 def eval_middle_matrix(M: MiddleMatrix, X: MatrixTuple) -> np.ndarray:
     """Blockwise evaluation: an (N*n) x (N*n) real symmetric matrix."""
     import numpy as np
@@ -115,11 +109,16 @@ def min_eigenvalue(A: np.ndarray) -> float:
 
 def quadratic_min_eigenvalue(q: NcPoly, X: MatrixTuple, H: MatrixTuple, *,
                              check: bool = True) -> float:
-    """Min eigenvalue of the symmetrized evaluation of q at (X, H).
+    """Min eigenvalue of the symmetrized evaluation of q at (X, H); nan,
+    with no warning, when that evaluation overflows.
 
     ``check=False`` skips the bidegree check, for a caller that ran
     ``check_bidegree(q)`` once before evaluating the same q many times.
     """
+    import numpy as np
+
     if check:
         check_bidegree(q)
-    return min_eigenvalue(symmetrize(evaluate(q, X, H)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = symmetrize(evaluate(q, X, H))
+    return min_eigenvalue(value) if np.isfinite(value).all() else nan

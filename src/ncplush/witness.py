@@ -3,28 +3,24 @@
 A Gram matrix G of a symmetric polynomial p (``G_f[a, b]`` holds the word
 a'b) that is not PSD has a direction c with c'Gc < 0, and its LDL' gives
 one (``negative_direction``).  ``gram_witness`` turns c into matrix tuples
-(X, H) with e0' q(X, H) e0 < 0 for the complex hessian q of p, and
-``replay_at_e0`` checks that value in exact arithmetic.  This makes the
-Gram-matrix method of nc sums of squares (Helton, "Positive noncommutative
-polynomials are sums of squares", Ann. Math. 2002) constructive in the
-refuting direction.
+(X, H) with exact rational entries, of any size, and e0' q(X, H) e0 < 0
+for the complex hessian q of p; ``replay_at_e0`` checks that value in
+exact arithmetic.  This makes the Gram-matrix method of nc sums of squares
+(Helton, "Positive noncommutative polynomials are sums of squares", Ann.
+Math. 2002) constructive in the refuting direction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ldexp, lcm
-from typing import Optional, Union
+from math import lcm
+from typing import Union
 
 from .freealg import MatrixTuple, NcPoly, Word, word_key
 from .ldlt import LdltFactorization, Obstruction
 
-# Largest binary exponent a product of constructed entries may reach; floats
-# end near 2^1024, which leaves room for sums over up to 2^100 paths.
-FLOAT_EXPONENT_BUDGET = 900
-
 # a sparse matrix per variable: {(row, column): entry}
-SparseTuple = list[dict[tuple[int, int], float]]
+SparseTuple = list[dict[tuple[int, int], Fraction]]
 
 
 def negative_direction(fac: Union[LdltFactorization, Obstruction],
@@ -59,11 +55,11 @@ def negative_direction(fac: Union[LdltFactorization, Obstruction],
     return {words[order[r]]: v for r, v in enumerate(y) if v}, value
 
 
-def gram_witness(g: int, gram: dict, c: dict[Word, Fraction], value: Fraction,
-                 degree: int) -> tuple[int, Optional[SparseTuple], Optional[SparseTuple]]:
-    """Matrix tuples (X, H) of size n with e0' q(X, H) e0 < 0 for every p
-    whose G_f is ``gram``, given c with c'Gc = value < 0; (n, None, None)
-    when a product of ``degree`` entries could leave the float range.
+def gram_witness(g: int, gram: dict, c: dict[Word, Fraction],
+                 value: Fraction) -> tuple[int, SparseTuple, SparseTuple]:
+    """Matrix tuples (X, H) of size n with exact rational entries and
+    e0' q(X, H) e0 < 0 for every p whose G_f is ``gram``, given c with
+    c'Gc = value < 0.
 
     The basis is e0, one e_w per nonempty suffix w of a word in supp(c), and
     a collapse vector z (last).  H_j e0 = s e_(j) + c_(j) z and
@@ -75,8 +71,8 @@ def gram_witness(g: int, gram: dict, c: dict[Word, Fraction], value: Fraction,
         e0' q(X, H) e0 = c'Gc + sum over suffixes a of G[a, a] s^(2|a|).
 
     c is scaled by a power of two so |c'Gc| is near 1, and s = 2^-m is
-    halved until the sum is below |c'Gc|/2.  Entries are rounded to floats,
-    which moves the value by a relative ~1e-16; the caller replays it.
+    halved until the sum is below |c'Gc|/2, so the value is negative by
+    construction; the caller replays it.
     """
     shift = (value.denominator.bit_length() - value.numerator.bit_length()) // 2
     value *= Fraction(4) ** shift
@@ -90,11 +86,7 @@ def gram_witness(g: int, gram: dict, c: dict[Word, Fraction], value: Fraction,
                       for k, d in diag_by_length.items())) >= -value:
         m += 1
     z = len(nodes) + 1
-    # binary exponent of each entry: -m for s, about log2|c_a / s^(|a|-1)| else
-    reach = max(m, *(abs(v.numerator.bit_length() - v.denominator.bit_length()
-                         + shift + m * (len(a) - 1)) for a, v in c.items()))
-    if (reach + 1) * max(degree, 1) > FLOAT_EXPONENT_BUDGET:
-        return z + 1, None, None
+    s = Fraction(1, 2 ** m)
     index = {a: r for r, a in enumerate(nodes, start=1)}
     index[()] = 0
     X: SparseTuple = [{} for _ in range(g)]
@@ -102,9 +94,9 @@ def gram_witness(g: int, gram: dict, c: dict[Word, Fraction], value: Fraction,
     for a in nodes:
         rest = a[1:]
         entries = (X if rest else H)[a[0] >> 2]
-        entries[(index[a], index[rest])] = ldexp(1.0, -m)
+        entries[(index[a], index[rest])] = s
         if a in c:
-            entries[(z, index[rest])] = ldexp(float(c[a]), shift + m * len(rest))
+            entries[(z, index[rest])] = c[a] * Fraction(2) ** (shift + m * len(rest))
     return z + 1, X, H
 
 
@@ -142,10 +134,11 @@ def replay_at_e0(q: NcPoly, X: SparseTuple, H: SparseTuple) -> Fraction:
 
 
 def float_tuple(tup: SparseTuple, n: int) -> MatrixTuple:
+    """Dense float copies; OverflowError when an entry leaves the float range."""
     import numpy as np
 
     mats = np.zeros((len(tup), n, n))
     for j, entries in enumerate(tup):
         for (row, col), v in entries.items():
-            mats[j, row, col] = v
+            mats[j, row, col] = float(v)
     return MatrixTuple(mats)

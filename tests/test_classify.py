@@ -20,7 +20,14 @@ from ncplush.classify import (
     verify_decomposition,
 )
 from ncplush.errors import AlreadyDirectional, NotSymmetric, WrongBidegree
-from ncplush.freealg import NcPoly, is_antihereditary_word, is_hereditary_word, parse_poly
+from ncplush.freealg import (
+    NcPoly,
+    is_antihereditary_word,
+    is_hereditary_word,
+    lx,
+    lxt,
+    parse_poly,
+)
 from ncplush.ldlt import Obstruction, ldlt_factor
 from ncplush.mmr import block_view, build_mmr, check_degree_bound
 from ncplush.numeval import SamplePolicy, quadratic_min_eigenvalue, random_tuple
@@ -163,38 +170,66 @@ def test_verdict_determinism():
 
 
 def replay_at_e0(q, X, H):
-    """e0' q(X, H) e0 in Fractions, from dense copies of the float tuples."""
-    def exact(tup):
-        return [[[Fraction(v) for v in row] for row in m] for m in tup.entries]
-
-    mats = []  # letter code 4j + kind -> kinds x, x', h, h'
-    for x, h in zip(exact(X), exact(H)):
+    """e0' q(X, H) e0 in Fractions from sparse exact tuples
+    ({(row, column): value} per variable), one sparse matrix-vector product
+    per letter."""
+    mats = []  # letter code 4j + kind -> {column: [(row, value)]} of x, x', h, h'
+    for x, h in zip(X, H):
         for m in (x, h):
-            mats.append(m)
-            mats.append([list(col) for col in zip(*m)])
-    mats = [mats[4 * j + k] for j in range(X.nvars) for k in (0, 1, 2, 3)]
+            for transposed in (False, True):
+                cols = {}
+                for (row, col), v in m.items():
+                    row, col = (col, row) if transposed else (row, col)
+                    cols.setdefault(col, []).append((row, Fraction(v)))
+                mats.append(cols)
+    mats = [mats[4 * j + k] for j in range(len(X)) for k in (0, 1, 2, 3)]
     total = Fraction(0)
     for word, coeff in q.terms.items():
-        vec = [Fraction(int(i == 0)) for i in range(X.n)]
+        vec = {0: Fraction(1)}
         for letter in reversed(word):
-            m = mats[letter]
-            vec = [sum(m[i][k] * vec[k] for k in range(X.n)) for i in range(X.n)]
-        total += coeff * vec[0]
+            out = {}
+            for col, vc in vec.items():
+                for row, v in mats[letter].get(col, ()):
+                    out[row] = out.get(row, 0) + v * vc
+            vec = out
+            if not vec:
+                break
+        total += coeff * vec.get(0, 0)
     return total
+
+
+def dense_floats(tup, n):
+    mats = np.zeros((len(tup), n, n))
+    for j, m in enumerate(tup):
+        for (row, col), v in m.items():
+            mats[j, row, col] = float(v)
+    return mats
 
 
 def assert_constructed(p, verdict):
     """A not_plush verdict with an exact negative value that a separate
-    Fraction replay through q confirms, and a float eigenvalue that agrees."""
-    assert verdict.kind == "not_plush", p
+    Fraction replay of its exact entries through q confirms and, when it has
+    a float view, a view that rounds those entries and an eigenvalue that
+    agrees."""
+    assert verdict.kind == "not_plush" and verdict.reason is None, p
     cex = verdict.counterexample
     q = complex_hessian(p)
     assert cex.exact_value is not None and cex.exact_value < 0, p
-    assert replay_at_e0(q, cex.X, cex.H) == cex.exact_value, p
+    assert replay_at_e0(q, cex.exact_X, cex.exact_H) == cex.exact_value, p
+    if cex.X is None:
+        assert cex.H is None and cex.eigenvalue is None and cex.no_view_reason, p
+        return cex
+    assert cex.no_view_reason is None and cex.X.n == cex.size, p
+    assert np.array_equal(np.stack(cex.X.entries), dense_floats(cex.exact_X, cex.size))
+    assert np.array_equal(np.stack(cex.H.entries), dense_floats(cex.exact_H, cex.size))
     assert cex.eigenvalue <= -1e-8, p
     assert quadratic_min_eigenvalue(q, cex.X, cex.H) == pytest.approx(cex.eigenvalue)
     assert cex.eigenvalue <= float(cex.exact_value) + 1e-9, p  # e0 is a unit vector
     return cex
+
+
+def exact_from_json(entries):
+    return [{(row, col): Fraction(v) for row, col, v in m} for m in entries]
 
 
 @pytest.mark.parametrize("text, path", [
@@ -209,9 +244,14 @@ def test_gram_failure_gets_constructed_witness(text, path):
     cex = assert_constructed(p, verdict)
     assert cex.path == path and verdict.reason is None
     value = cex.exact_value
-    assert f"exact value: {value.numerator}/{value.denominator}" in format_report(verdict)
-    data = json.loads(json.dumps(verdict_to_dict(verdict, 1)))
-    assert Fraction(data["counterexample"]["exact_value"]) == value
+    report = format_report(verdict)
+    assert f"exact value: {value.numerator}/{value.denominator}" in report
+    assert "exact X1 = [" in report and "exact H1 = [" in report
+    data = json.loads(json.dumps(verdict_to_dict(verdict, 1)))["counterexample"]
+    assert Fraction(data["exact_value"]) == value
+    q = complex_hessian(p)  # a reader recomputes the value from the JSON alone
+    assert replay_at_e0(q, exact_from_json(data["exact_X"]),
+                        exact_from_json(data["exact_H"])) == value
 
 
 def test_gram_failures_near_the_boundary_are_all_exact():
@@ -238,25 +278,67 @@ def test_gram_failures_near_the_boundary_are_all_exact():
     assert kinds["inconclusive"] == 0 and kinds["not_plush"] >= 40, kinds
 
 
-def test_oversized_construction_falls_back_to_the_search(monkeypatch):
+def no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram failure reached the witness search")
+
+    monkeypatch.setattr(classify, "find_witness", refuse)
+
+
+def test_oversized_construction_is_exact_without_a_view(monkeypatch):
     monkeypatch.setattr(classify, "MAX_MATRIX_SIZE", 2)
+    no_search(monkeypatch)
     p = P("0 - x1'*x1")  # the construction needs size 3
-    verdict = decide_plush(p)
-    assert verdict.kind == "not_plush"
-    assert verdict.counterexample.exact_value is None
-    assert verdict.counterexample.path == "negative_pivot"
-    assert "size 3 > 2" in verdict.reason and "reason: " in format_report(verdict)
-    stuck = decide_plush(p, SamplePolicy(tol=1e9))
-    assert stuck.kind == "inconclusive"
-    assert stuck.reason.startswith("negative_pivot: ") and "size 3 > 2" in stuck.reason
+    verdict = decide_plush(p, SamplePolicy(tol=1e9))
+    cex = assert_constructed(p, verdict)
+    assert cex.path == "negative_pivot" and cex.size == 3 and cex.X is None
+    assert cex.no_view_reason == "size 3 > 2"
+    report = format_report(verdict)
+    assert "float view: none (size 3 > 2)" in report and "reason: " not in report
+    assert "eigenvalue" not in report and "\nX1 = " not in report
+    data = json.loads(json.dumps(verdict_to_dict(verdict, 1)))["counterexample"]
+    assert data["X"] is None and data["H"] is None and data["eigenvalue"] is None
+    assert data["no_float_view"] == "size 3 > 2"
 
 
-def test_construction_outside_the_float_range_falls_back_to_the_search():
-    # c'Gc = -10^-400 would need entries near 2^665 in a degree-6 hessian
+def test_construction_outside_the_float_range_is_exact_without_a_view(monkeypatch):
+    # c'Gc = -10^-400 gives an entry near 2^666 and hessian values near 2^1332
+    no_search(monkeypatch)
     p = P("x1'*x1 - 1/1" + "0" * 400 + "*x1'*x1'*x1'*x1*x1*x1")
     verdict = decide_plush(p, SamplePolicy((1,), 2))
-    assert verdict.kind in ("not_plush", "inconclusive")
-    assert "the constructed witness would leave the float range" in verdict.reason
+    cex = assert_constructed(p, verdict)
+    assert cex.size == 5 and cex.X is None
+    assert cex.no_view_reason == "an entry or the value of q leaves the float range"
+    assert "float view: none (an entry or" in format_report(verdict)
+
+
+def near_square(k, eps):
+    """f'f - eps x1'^k x1^k with f = x1^k + x1^(k-1): the Gram matrix on
+    (x1^(k-1), x1^k) has the pivots 1 and -eps, so the witness has size
+    k + 2 and the hessian degree 2k."""
+    f = NcPoly.monomial(1, (lx(1),) * k) + NcPoly.monomial(1, (lx(1),) * (k - 1))
+    return f.T * f - eps * NcPoly.monomial(1, (lxt(1),) * k + (lx(1),) * k)
+
+
+@pytest.mark.parametrize("k", [20, 70])  # k = 30 and 120 pass too, in about 8 s more
+@pytest.mark.parametrize("eps", [Fraction(1, 10**3), Fraction(1, 10**6)])
+def test_gram_witness_has_no_size_cap(monkeypatch, k, eps):
+    no_search(monkeypatch)
+    p = near_square(k, eps)
+    cex = assert_constructed(p, decide_plush(p))
+    assert cex.path == "negative_pivot" and cex.size == k + 2
+    assert (cex.X is None) == (k >= 70)
+
+
+def test_search_skips_overflowing_samples():
+    # values of 10^308 times sums of products of entries in [-1, 1] overflow
+    # at some samples; those are skipped with no numpy warning
+    big = "1" + "0" * 308
+    p = P(f"{big}*x1'*x1*x1'*x1 + {big}*x1'*x1'*x1'*x1*x1*x1")
+    verdict = decide_plush(p)
+    assert verdict.kind == "not_plush"
+    assert verdict.counterexample.path == "mixed_block"
+    assert np.isfinite(verdict.counterexample.eigenvalue)
 
 
 def test_verify_decomposition_rejects_tampering():

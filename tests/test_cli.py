@@ -52,6 +52,16 @@ def test_classify_inconclusive_json_has_reason(capsys):
     assert payload["reason"].startswith("mixed_block:")
 
 
+def test_classify_gram_failure_beyond_floats_is_refuted(capsys):
+    tiny = "x1'*x1 - 1/1" + "0" * 400 + "*x1'*x1'*x1'*x1*x1*x1"
+    code, out, _ = run(capsys, "classify", "-e", tiny)
+    assert code == 2 and "float view: none (" in out and "reason:" not in out
+    code, out, _ = run(capsys, "classify", "--json", "-e", tiny)
+    cex = json.loads(out)["counterexample"]
+    assert code == 2 and cex["X"] is None and cex["eigenvalue"] is None
+    assert cex["exact_value"].startswith("-") and cex["exact_H"] == [[[1, 0, "1/2"]]]
+
+
 def test_hessian_output(capsys):
     code, out, _ = run(capsys, "hessian", "--vars", "1", "-e", "x1'*x1")
     assert code == 0

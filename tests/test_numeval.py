@@ -5,13 +5,13 @@ import pytest
 
 from ncplush.calculus import complex_hessian
 from ncplush.errors import NotSymmetric, WrongBidegree
-from ncplush.freealg import MatrixTuple, direct_sum, parse_poly
+from ncplush.freealg import MatrixTuple, direct_sum, evaluate, parse_poly
 from ncplush.mmr import build_mmr
 from ncplush.numeval import (
     MAX_MATRIX_SIZE,
     SamplePolicy,
+    check_bidegree,
     eval_middle_matrix,
-    eval_quadratic,
     min_eigenvalue,
     quadratic_min_eigenvalue,
     random_tuple,
@@ -19,6 +19,11 @@ from ncplush.numeval import (
 )
 
 P = parse_poly
+
+
+def eval_quadratic(q, X, H):
+    check_bidegree(q)
+    return evaluate(q, X, H)
 
 
 def test_eval_quadratic_gram_case():
